@@ -9,9 +9,9 @@ import random
 import pytest
 
 from repro.core.costmodel import STRATEGIES
+from repro.core.datagen import gen_tree_data
 from repro.engine import run_strategy
 from repro.experiments.shapes import sample_shaped_tree
-from repro.synth_data import tree_dataset
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +20,7 @@ def workload(spark):
     tree = sample_shaped_tree(
         "star7", rng, m_range=(0.4, 0.7), fo_range=(2.0, 5.0), n_driver=5000, max_out=5e5
     )
-    sdata, _ = tree_dataset(spark, tree, 5000, seed=11)
+    sdata = {n: spark.createDataFrame(pdf) for n, pdf in gen_tree_data(tree, 5000, seed=11).items()}
     for df in sdata.values():
         df.persist().count()
     return tree, sdata

@@ -1,9 +1,13 @@
 #!/usr/bin/env python
-"""Run every evaluation table (T1–T8) and write results/tN.md files.
+"""Run the evaluation tables (T1–T8) and write results/tN.md files.
 
 Scale knobs via REPRO_* env vars (see repro/experiments/*). Usage:
 
     python jobs/run_all.py [t1 t4 ...]   # default: all tables
+
+An unknown table name exits with code 2 before Spark starts. A table that
+fails is written as ``FAILED: ...`` and the remaining tables still run;
+the exit code is then 1.
 """
 import os
 import sys
@@ -12,15 +16,20 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 RESULTS = os.path.join(os.path.dirname(__file__), "..", "results")
+TABLES = ("t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8")
+NEEDS_SPARK = {"t1", "t4", "t5", "t7", "t8"}
 
 
-def main(which=None):
+def main(which=None) -> int:
+    which = which or list(TABLES)
+    unknown = [name for name in which if name not in TABLES]
+    if unknown:
+        print(f"unknown table(s) {', '.join(unknown)}; expected some of {', '.join(TABLES)}", file=sys.stderr)
+        return 2
     os.makedirs(RESULTS, exist_ok=True)
     from repro.session import get_spark
 
-    which = which or ["t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8"]
-    needs_spark = {"t1", "t4", "t5", "t7", "t8"}
-    spark = get_spark("repro-experiments") if needs_spark & set(which) else None
+    spark = get_spark("repro-experiments") if NEEDS_SPARK & set(which) else None
 
     from repro.experiments import (
         t1_estimation,
@@ -43,6 +52,7 @@ def main(which=None):
         "t7": lambda: t7_validation.run(spark),
         "t8": lambda: t8_robustness_exec.run(spark),
     }
+    failed = []
     for name in which:
         t0 = time.time()
         print(f"=== {name} ...", flush=True)
@@ -53,6 +63,7 @@ def main(which=None):
 
             traceback.print_exc()
             rows, md = [], f"FAILED: {e!r}"
+            failed.append(name)
         dt = time.time() - t0
         path = os.path.join(RESULTS, f"{name}.md")
         with open(path, "w") as f:
@@ -60,7 +71,11 @@ def main(which=None):
         print(f"=== {name} done in {dt:.0f}s -> {path}", flush=True)
     if spark is not None:
         spark.stop()
+    if failed:
+        print(f"failed: {', '.join(failed)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:] or None)
+    sys.exit(main(sys.argv[1:] or None))

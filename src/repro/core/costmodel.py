@@ -30,8 +30,9 @@ and replaced by the true factors ``m_c · fo_c`` (COM: by branch survival).
 """
 from __future__ import annotations
 
-import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from typing import Any
 
 from .jointree import EdgeStats, JoinTree
 
@@ -79,96 +80,160 @@ class CostBreakdown:
         )
 
 
+@dataclass
+class ExecResult:
+    """Observed outcome of one execution of (strategy, order), by the Spark
+    engine or the pandas simulator. ``counts`` holds the observed operation
+    counts in the cost model's terms; ``result`` is the flat result frame
+    when the caller asked to keep it."""
+
+    strategy: str
+    order: list[str]
+    counts: CostBreakdown = field(default_factory=CostBreakdown)
+    out_rows: int | None = None
+    factorized_rows: int | None = None
+    wall_time_s: float = 0.0
+    result: Any = None
+
+
 # --------------------------------------------------------------------------
 # Survival probabilities (m_T) and spine sizes — the COM core (§3.3, §3.5)
 # --------------------------------------------------------------------------
+
+ProbesFn = Callable[[str, frozenset], float]
+
+
+class BranchSurvival:
+    """The branch-survival probabilities m_T of §3.3 for one tree, memoised.
+
+    Node sets are passed as bitmasks (:meth:`mask`): ``done`` holds the
+    joined nodes, ``gated`` the nodes whose bitvector gate is pending. A
+    factor depends on them only through the bits inside its subtree, so it
+    is cached per (node, subtree bits); a DP over 15–20 nodes revisits the
+    same branches many times.
+    """
+
+    def __init__(self, tree: JoinTree, eps: float = 0.0):
+        self.tree, self.eps = tree, eps
+        self.bit = {n: 1 << i for i, n in enumerate(tree.nodes)}
+        self._sub = {n: self.mask(tree.subtree(n)) for n in tree.nodes}
+        self._cache: dict[tuple[str, int, int], float] = {}
+
+    def mask(self, nodes: Iterable[str]) -> int:
+        m = 0
+        for n in nodes:
+            m |= self.bit[n]
+        return m
+
+    def factor(self, c: str, done: int, gated: int = 0) -> float:
+        """Effective survival factor of the branch rooted at ``c``.
+
+        - ``c`` joined: the recursive branch-survival probability m_T of
+          §3.3, where *gated-but-unjoined* descendants contribute their
+          bitvector pass probability ``m + eps`` (§3.5 — cf. the paper's
+          ``m_3 (m_4 + eps)`` term inside the survival bracket);
+        - ``c`` only gated: ``m_c + eps``;
+        - ``c`` untouched: 1 (no information yet).
+        """
+        sub = self._sub[c]
+        key = (c, done & sub, gated & sub)
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        st = self.tree.stats[c]
+        if done & self.bit[c]:
+            prod = 1.0
+            for d in self.tree.children(c):
+                prod *= self.factor(d, done, gated)
+            val = st.m if prod >= 1.0 else st.m * (1.0 - (1.0 - prod) ** st.fo)
+        elif gated & self.bit[c]:
+            val = min(1.0, st.m + self.eps)
+        else:
+            val = 1.0
+        self._cache[key] = val
+        return val
+
+    def driver_survival(self, done: int) -> float:
+        """P[a driver tuple survives all joined operators] — the product of
+        branch survivals at the root (§3.4 heuristic 3)."""
+        prod = 1.0
+        for c in self.tree.children(self.tree.root):
+            prod *= self.factor(c, done)
+        return prod
 
 
 def branch_factor(
     tree: JoinTree,
     c: str,
-    processed: frozenset | set,
-    gated: frozenset | set = frozenset(),
+    processed: Iterable[str],
+    gated: Iterable[str] = frozenset(),
     eps: float = 0.0,
 ) -> float:
-    """Effective survival factor of the branch rooted at ``c``.
+    """Effective survival factor of the branch rooted at ``c``; see
+    :meth:`BranchSurvival.factor`."""
+    bs = BranchSurvival(tree, eps)
+    return bs.factor(c, bs.mask(processed), bs.mask(gated))
 
-    - ``c`` fully joined (in ``processed``): the recursive branch-survival
-      probability m_T of §3.3, where *gated-but-unjoined* descendants
-      contribute their bitvector pass probability ``m + eps`` (§3.5 — cf.
-      the paper's ``m_3 (m_4 + eps)`` term inside the survival bracket);
-    - ``c`` only gated: ``m_c + eps``;
-    - ``c`` untouched: 1 (no information yet).
+
+def survival_probability(tree: JoinTree, processed: Iterable[str]) -> float:
+    """P[a driver tuple survives all processed join operators] (§3.4
+    heuristic 3)."""
+    bs = BranchSurvival(tree)
+    return bs.driver_survival(bs.mask(processed))
+
+
+def com_probes_fn(tree: JoinTree, n_driver: float, *, bvp: bool = False, eps: float = 0.0) -> ProbesFn:
+    """Expected hash probes into operator ``⋈ R_l`` under COM (Eq. 1), as a
+    function of ``l`` and the set of operators joined before it. ``l``'s
+    parent must be joined already (or be the driver).
+
+    The probes are the *alive* spine rows at ``l``'s parent p. The spine of
+    p is the flat expansion of the path driver→p only; a spine row is alive
+    if, for every path ancestor, all of its processed side branches found a
+    match. Under BVP every unjoined branch that the recursion reaches has a
+    materialized parent, so its bitvector gate is pending (factor ``m +
+    eps``), and the stream has additionally passed BV(l).
     """
-    if c in processed:
-        st = tree.stats[c]
-        prod = 1.0
-        for d in tree.children(c):
-            prod *= branch_factor(tree, d, processed, gated, eps)
-        if prod >= 1.0:
-            return st.m
-        return st.m * (1.0 - (1.0 - prod) ** st.fo)
-    if c in gated:
-        return min(1.0, tree.stats[c].m + eps)
-    return 1.0
+    bs = BranchSurvival(tree, eps)
+    gated = bs.mask(tree.nodes) if bvp else 0
+    # Per spine end p, the path driver→p as (m·fo of the node, its side
+    # branches); the driver's factor is 1.
+    spine: dict[str, list[tuple[float, list[str]]]] = {}
+    for p in tree.nodes:
+        path = tree.path_from_root(p)
+        spine[p] = [
+            (1.0 if b == tree.root else tree.stats[b].m * tree.stats[b].fo,
+             [c for c in tree.children(b) if c not in path])
+            for b in path
+        ]
 
+    def fn(l: str, processed: Iterable[str]) -> float:
+        done = bs.mask(processed)
+        val = n_driver
+        for mfo, side in spine[tree.parent[l]]:
+            val *= mfo
+            for c in side:
+                if c != l:
+                    val *= bs.factor(c, done, gated)
+        if bvp:
+            val *= min(1.0, tree.stats[l].m + eps)
+        return val
 
-def _gated_set(tree: JoinTree, processed: set[str], bvp: bool) -> set[str]:
-    """Nodes whose bitvector gate is pending: parent materialized, self not
-    joined. Materialized = {root} ∪ processed."""
-    if not bvp:
-        return set()
-    mat = processed | {tree.root}
-    return {c for c in tree.nonroot if c not in processed and tree.parent[c] in mat}
-
-
-def com_spine_size(
-    tree: JoinTree,
-    a: str,
-    processed: set[str],
-    gated: set[str],
-    n_driver: float,
-    eps: float = 0.0,
-) -> float:
-    """Expected number of *alive* spine rows at node ``a`` (Eq. 1).
-
-    The spine of ``a`` is the flat expansion of the path driver→a only;
-    a spine row is alive if, for every path ancestor, all of its processed
-    side branches found a match (and all pending gates passed, under BVP).
-    """
-    path = tree.path_from_root(a)
-    pathset = set(path)
-    val = n_driver
-    for b in path:
-        if b != tree.root:
-            st = tree.stats[b]
-            val *= st.m * st.fo
-        for c in tree.children(b):
-            if c in pathset:
-                continue
-            val *= branch_factor(tree, c, processed, gated, eps)
-    return val
+    return fn
 
 
 def com_hash_probes_into(
     tree: JoinTree,
     l: str,
-    processed: set[str],
+    processed: Iterable[str],
     n_driver: float,
     *,
     bvp: bool = False,
     eps: float = 0.0,
 ) -> float:
-    """Expected hash probes into operator ``⋈ R_l`` under COM (Eq. 1),
-    given the set of previously joined operators. Under BVP the stream has
-    additionally passed BV(l) and every other pending gate."""
-    p = tree.parent[l]
-    gated = _gated_set(tree, processed, bvp)
-    gated.discard(l)
-    base = com_spine_size(tree, p, processed, gated, n_driver, eps)
-    if bvp:
-        base *= min(1.0, tree.stats[l].m + eps)
-    return base
+    """One step of :func:`com_probes_fn`: expected hash probes into
+    ``⋈ R_l`` under COM (Eq. 1), given the previously joined operators."""
+    return com_probes_fn(tree, n_driver, bvp=bvp, eps=eps)(l, processed)
 
 
 # --------------------------------------------------------------------------
@@ -219,12 +284,13 @@ def com_costs(
     cb = CostBreakdown()
     order_pos = {c: i for i, c in enumerate(order)}
     processed: set[str] = set()
+    probes = com_probes_fn(tree, n_driver, bvp=bvp, eps=eps)
     if bvp:
         # Driver materializes first: gate all its children on the raw scan.
         _bv_probes_at(tree, tree.root, n_driver, order_pos, cb.bv_probes, eps)
     for l in order:
         st = tree.stats[l]
-        hp = com_hash_probes_into(tree, l, processed, n_driver, bvp=bvp, eps=eps)
+        hp = probes(l, processed)
         cb.hash_probes[l] = hp
         # Fresh spine rows produced by this join (match tuples generated).
         pre_gate = hp / min(1.0, st.m + eps) if bvp else hp
@@ -431,19 +497,3 @@ def plan_costs(
     if strategy.endswith("COM"):
         return com_costs(tree, order, n, bvp=bvp, eps=eps, flat_output=flat_output)
     return std_costs(tree, order, n, bvp=bvp, eps=eps)
-
-
-def survival_probability(tree: JoinTree, processed: set[str]) -> float:
-    """P[a driver tuple survives all processed join operators] — the
-    product of branch survivals at the root (§3.4 heuristic 3)."""
-    prod = 1.0
-    for c in tree.children(tree.root):
-        prod *= branch_factor(tree, c, processed)
-    return prod
-
-
-def nan_guard(x: float) -> float:
-    """Clamp numerical noise from repeated (1-(1-p)^fo) arithmetic."""
-    if math.isnan(x):
-        return 0.0
-    return x

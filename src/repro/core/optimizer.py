@@ -10,19 +10,21 @@
   costs), ``"tuples"`` (min expected tuples after the join), and
   ``"survival"`` (min driver survival probability of the prefix).
 - :func:`brute_force_optimal` — all valid permutations; test oracle.
+- :func:`com_probes_fn` / :func:`std_probes_fn` — the per-step probe
+  costs the DP adds up. ``com_probes_fn`` is the cost model's one
+  memoised Eq. 1 (re-exported from :mod:`.costmodel`).
 - :func:`optimize` / :func:`optimize_all_drivers` — convenience entry
   points returning (cost, order) per strategy, optionally trying every
   relation as the driver via :meth:`JoinTree.rerooted`.
 """
 from __future__ import annotations
 
-from typing import Callable
-
 from .costmodel import (
+    BranchSurvival,
     CostBreakdown,
+    ProbesFn,
     Weights,
-    branch_factor,
-    com_hash_probes_into,
+    com_probes_fn,
     expected_output,
     plan_costs,
     sj_optimal_phase2_order,
@@ -31,66 +33,6 @@ from .costmodel import (
 from .jointree import JoinTree, StatsProvider
 
 HEURISTICS = ("rank", "tuples", "survival")
-
-ProbesFn = Callable[[str, frozenset], float]
-
-
-def com_probes_fn(tree: JoinTree, n_driver: float, *, bvp: bool = False, eps: float = 0.0) -> ProbesFn:
-    """Per-step probe cost for the DP under COM semantics (Eq. 1)."""
-
-    def fn(l: str, processed: frozenset) -> float:
-        return com_hash_probes_into(tree, l, set(processed), n_driver, bvp=bvp, eps=eps)
-
-    return fn
-
-
-def cached_com_probes_fn(tree: JoinTree, n_driver: float) -> ProbesFn:
-    """Memoized Eq. 1 probe function for large DP sweeps.
-
-    ``branch_factor(c, S)`` depends on S only through S ∩ subtree(c), so
-    results are cached per (node, bitmask of its subtree's processed
-    set) — this turns the O(n·2ⁿ) DP over 20-node trees from minutes
-    into seconds.
-    """
-    idx = {n: i for i, n in enumerate(tree.nodes)}
-    submask = {n: sum(1 << idx[d] for d in tree.subtree(n)) for n in tree.nodes}
-    cache: dict[tuple[str, int], float] = {}
-
-    def bf(c: str, mask: int) -> float:
-        key = (c, mask & submask[c])
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        if not (mask >> idx[c]) & 1:
-            val = 1.0
-        else:
-            st = tree.stats[c]
-            prod = 1.0
-            for d in tree.children(c):
-                prod *= bf(d, mask)
-            val = st.m if prod >= 1.0 else st.m * (1.0 - (1.0 - prod) ** st.fo)
-        cache[key] = val
-        return val
-
-    def fn(l: str, processed: frozenset) -> float:
-        mask = 0
-        for n in processed:
-            mask |= 1 << idx[n]
-        p = tree.parent[l]
-        path = tree.path_from_root(p)
-        pathset = set(path)
-        val = n_driver
-        for b in path:
-            if b != tree.root:
-                st = tree.stats[b]
-                val *= st.m * st.fo
-            for c in tree.children(b):
-                if c in pathset or c == l:
-                    continue
-                val *= bf(c, mask)
-        return val
-
-    return fn
 
 
 def std_probes_fn(tree: JoinTree, n_driver: float) -> ProbesFn:
@@ -164,6 +106,8 @@ def greedy_order(
         raise ValueError(f"unknown heuristic {heuristic!r}; expected one of {HEURISTICS}")
     order: list[str] = []
     processed: set[str] = set()
+    probes = com_probes_fn(tree, n_driver)
+    survival = BranchSurvival(tree)
     while len(order) < len(tree.nonroot):
         elig = tree.eligible(processed)
         if heuristic == "rank":
@@ -171,16 +115,11 @@ def greedy_order(
         elif heuristic == "tuples":
             def tuples_after(l: str) -> float:
                 st = tree.stats[l]
-                return com_hash_probes_into(tree, l, processed, n_driver) * st.m * st.fo
+                return probes(l, processed) * st.m * st.fo
             nxt = min(elig, key=lambda l: (tuples_after(l), l))
         else:  # survival
-            def survival_after(l: str) -> float:
-                s2 = processed | {l}
-                prod = 1.0
-                for c in tree.children(tree.root):
-                    prod *= branch_factor(tree, c, s2)
-                return prod
-            nxt = min(elig, key=lambda l: (survival_after(l), l))
+            done = survival.mask(processed)
+            nxt = min(elig, key=lambda l: (survival.driver_survival(done | survival.bit[l]), l))
         order.append(nxt)
         processed.add(nxt)
     return order

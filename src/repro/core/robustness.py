@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .costmodel import com_hash_probes_into
 from .jointree import EdgeStats, JoinTree, star
 from .optimizer import com_probes_fn, exhaustive_optimal, order_cost, std_probes_fn
 

@@ -16,29 +16,11 @@ semantics the cost model estimates and the Spark engine implements:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import pandas as pd
 
-from .costmodel import CostBreakdown, sj_adjusted
+from .costmodel import CostBreakdown, ExecResult, sj_adjusted
 from .datagen import id_col
 from .jointree import JoinTree
-
-
-@dataclass
-class ExecStats:
-    """Observed operation counts of one simulated/engine execution."""
-
-    strategy: str
-    order: list[str]
-    counts: CostBreakdown = field(default_factory=CostBreakdown)
-    out_rows: int | None = None
-    factorized_rows: int | None = None
-
-    def total(self, w=None) -> float:
-        from .costmodel import Weights
-
-        return self.counts.total(w or Weights())
 
 
 def _keycols(tree: JoinTree, a: str) -> list[str]:
@@ -190,11 +172,11 @@ def simulate(
     flat_output: bool = True,
     semi_orders: dict[str, list[str]] | None = None,
     keep_result: bool = False,
-) -> ExecStats | tuple[ExecStats, pd.DataFrame | None]:
+) -> ExecResult:
     """Execute ``strategy`` over pandas ``data`` and count every probe.
 
     ``order`` defaults to BFS (SJ: the §3.6 optimal phase-2 order). With
-    ``keep_result`` the flat result frame is returned too (None when
+    ``keep_result`` the flat result frame is kept in ``result`` (None when
     ``flat_output`` is off for a COM variant).
     """
     from .costmodel import STRATEGIES, sj_optimal_phase2_order
@@ -222,13 +204,11 @@ def simulate(
         else:
             result = _run_std(tree, data, order, bv, counts)
 
-    stats = ExecStats(
+    return ExecResult(
         strategy=strategy,
         order=list(order),
         counts=counts,
         out_rows=None if result is None else len(result),
         factorized_rows=fact_rows,
+        result=result if keep_result else None,
     )
-    if keep_result:
-        return stats, result
-    return stats

@@ -1,4 +1,4 @@
-"""Shared engine plumbing: result type, bitvector gating, checkpoints.
+"""Shared engine plumbing: bitvector gating, checkpoints.
 
 The engine's probe counters implement the same abstract semantics as
 ``repro.core.simulator`` (one hash probe per alive input tuple per
@@ -9,30 +9,12 @@ on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from pyspark.sql import DataFrame
 
 from repro.bloom import build_bitvector
-from repro.core.costmodel import CostBreakdown, Weights
+from repro.core.costmodel import CostBreakdown
 from repro.core.datagen import id_col
 from repro.core.jointree import JoinTree
-
-
-@dataclass
-class EngineResult:
-    """Outcome of one Spark execution of (strategy, order)."""
-
-    strategy: str
-    order: list[str]
-    counts: CostBreakdown = field(default_factory=CostBreakdown)
-    out_rows: int | None = None
-    factorized_rows: int | None = None
-    wall_time_s: float = 0.0
-    result: DataFrame | None = None
-
-    def total(self, w: Weights = Weights()) -> float:
-        return self.counts.total(w)
 
 
 def ckpt(df: DataFrame) -> DataFrame:

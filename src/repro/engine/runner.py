@@ -4,7 +4,20 @@ probe counts, output size, and wall-clock time.
 ``measure=True`` inserts per-operator ``count()`` actions (exact probe
 accounting, comparable with the cost model and the pandas simulator);
 ``measure=False`` runs the leanest pipeline for wall-clock benchmarking,
-with a single terminal action.
+with a single terminal action, and leaves every counter at 0.
+
+Why two modes rather than one with counters always on: the two ways of
+counting inside the timed plan both fall short.
+
+- Lazy ``observe()`` metrics count only the rows an operator actually
+  pulls, and a sort-merge join stops pulling from one side when the other
+  side runs out. On star7-5k (seed 11) STD's hash probes came out as
+  R3 6 125 and R4 8 004 against true values of 6 127 and 8 009.
+- Checkpointing every counted frame makes them exact, but as the only
+  path it made the benchmark's ``answer_s`` slower on a 4-vCPU host:
+  star7-5k 6.6 → 10.8 s, snow21-5k 7.4 → 10.8 s. With the fewest
+  checkpoints, star7-5k was still slower in 5 of 5 pairs of runs
+  (median 7.1 → 7.8 s).
 """
 from __future__ import annotations
 
@@ -12,11 +25,11 @@ import time
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.costmodel import STRATEGIES, CostBreakdown, sj_optimal_phase2_order
+from repro.core.costmodel import STRATEGIES, CostBreakdown, ExecResult, sj_optimal_phase2_order
 from repro.core.jointree import JoinTree
 
 from .com import run_com
-from .common import EngineResult, Gater
+from .common import Gater
 from .sj import run_sj
 from .std import run_std
 
@@ -33,9 +46,8 @@ def run_strategy(
     bv_mode: str = "exact",
     bloom_bits: int = 1 << 16,
     bloom_k: int = 2,
-    shuffle_partitions: int | None = 8,
     keep_result: bool = False,
-) -> EngineResult:
+) -> ExecResult:
     """Execute ``strategy`` over Spark relations ``data``.
 
     ``data`` maps every tree node to a DataFrame following the id/join
@@ -46,8 +58,6 @@ def run_strategy(
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if shuffle_partitions is not None:
-        spark.conf.set("spark.sql.shuffle.partitions", str(shuffle_partitions))
     counts = CostBreakdown()
     t0 = time.perf_counter()
 
@@ -72,13 +82,9 @@ def run_strategy(
         else:
             result = run_std(tree, data, order, gater, counts, measure)
 
-    out_rows = None
-    if result is not None:
-        out_rows = result.count()
-        if strategy.endswith("COM") and not measure:
-            counts.expansion_tuples = float(out_rows)
+    out_rows = None if result is None else result.count()
     wall = time.perf_counter() - t0
-    return EngineResult(
+    return ExecResult(
         strategy=strategy,
         order=list(order),
         counts=counts,
@@ -88,15 +94,3 @@ def run_strategy(
         result=result if keep_result else None,
     )
 
-
-def run_from_pandas(
-    spark: SparkSession,
-    tree: JoinTree,
-    pdata,
-    strategy: str,
-    order: list[str] | None = None,
-    **kw,
-) -> EngineResult:
-    """Convenience wrapper: load pandas relations into Spark and run."""
-    data = {n: spark.createDataFrame(pdf) for n, pdf in pdata.items()}
-    return run_strategy(spark, tree, data, strategy, order, **kw)

@@ -12,7 +12,7 @@ import random
 from repro.core.jointree import random_tree
 from repro.core.optimizer import (
     HEURISTICS,
-    cached_com_probes_fn,
+    com_probes_fn,
     exhaustive_optimal,
     greedy_order,
     order_cost,
@@ -33,7 +33,7 @@ def run(*, n_trees: int | None = None, max_nodes: int | None = None, seed: int =
         for i in range(n_trees):
             rng = random.Random((seed, mr, i).__hash__() & 0x7FFFFFFF)
             t = random_tree(rng, max_nodes=max_nodes, m_range=mr, fo_range=(1.0, 10.0))
-            fn = cached_com_probes_fn(t, N)
+            fn = com_probes_fn(t, N)
             opt_cost, _ = exhaustive_optimal(t, fn)
             for h in HEURISTICS:
                 c = order_cost(t, greedy_order(t, h, N), fn)

@@ -15,10 +15,10 @@ import random
 from pyspark.sql import SparkSession
 
 from repro.core.costmodel import STRATEGIES, plan_costs
+from repro.core.datagen import gen_tree_data
 from repro.core.optimizer import greedy_order
 from repro.core.robustness import M_RANGES
 from repro.engine import run_strategy
-from repro.synth_data import tree_dataset
 
 from .common import env_float, env_int, md_table
 from .shapes import SHAPES, sample_shaped_tree
@@ -37,7 +37,8 @@ def run(spark: SparkSession, *, n_driver: int | None = None, seed: int = 0, shap
         for mr in m_ranges:
             rng = random.Random((seed, shape, mr).__hash__() & 0x7FFFFFFF)
             tree = sample_shaped_tree(shape, rng, m_range=mr, n_driver=n_driver, max_out=max_out)
-            sdata, _ = tree_dataset(spark, tree, n_driver, seed=rng.randrange(1 << 30))
+            pdata = gen_tree_data(tree, n_driver, seed=rng.randrange(1 << 30))
+            sdata = {n: spark.createDataFrame(pdf) for n, pdf in pdata.items()}
             order = greedy_order(tree, "survival", n_driver)
 
             walls: dict[str, float | None] = {}

@@ -16,9 +16,9 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.costmodel import Weights, com_costs
+from repro.core.datagen import gen_tree_data
 from repro.core.simulator import simulate
 from repro.engine import run_strategy
-from repro.synth_data import tree_dataset
 
 from .common import env_int, md_table, random_valid_order
 from .shapes import SHAPES, sample_shaped_tree
@@ -46,11 +46,7 @@ def run(spark: SparkSession | None, *, n_driver: int | None = None, seed: int = 
         tree = sample_shaped_tree(
             shape, rng, m_range=(0.2, 0.6), fo_range=(1.0, 6.0), n_driver=n_driver, max_out=1e6
         )
-        sdata, pdata = tree_dataset(spark, tree, n_driver, seed=rng.randrange(1 << 30)) if spark else (None, None)
-        if pdata is None:
-            from repro.core.datagen import gen_tree_data
-
-            pdata = gen_tree_data(tree, n_driver, seed=rng.randrange(1 << 30))
+        pdata = gen_tree_data(tree, n_driver, seed=rng.randrange(1 << 30))
 
         # (b) model vs simulator probes — cheap, k_sim orders.
         orders = [random_valid_order(tree, rng) for _ in range(k_sim)]
@@ -68,6 +64,7 @@ def run(spark: SparkSession | None, *, n_driver: int | None = None, seed: int = 
 
         # (a) model vs Spark wall time — k_wall orders.
         if spark is not None:
+            sdata = {n: spark.createDataFrame(pdf) for n, pdf in pdata.items()}
             orders_w = orders[:k_wall]
             pred_w = [com_costs(tree, o, n_driver, flat_output=False).total(w) for o in orders_w]
             walls = [

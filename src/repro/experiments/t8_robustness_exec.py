@@ -20,7 +20,6 @@ from repro.ce_lite import load_dataset, random_query
 from repro.core.costmodel import STRATEGIES, Weights
 from repro.core.simulator import simulate
 from repro.engine import run_strategy
-from repro.synth_data import tree_dataset
 
 from .common import env_int, md_table, random_valid_order
 from .shapes import sample_shaped_tree

@@ -1,7 +1,11 @@
-"""SparkSession builder for standalone jobs (mirrors conftest settings).
+"""The one SparkSession builder: ``jobs/run_all.py`` and the tests'
+``spark`` fixture both start their session here.
 
-Tests use the ``spark`` pytest fixture; ``jobs/*.py`` scripts use
-:func:`get_spark` so both run with identical session configuration.
+Master, driver memory and shuffle partitions come from the environment
+(``SPARK_MASTER``, ``SPARK_DRIVER_MEM``, ``SPARK_SHUFFLE_PARTITIONS``).
+Shuffle partitions default to 8, the value the benchmark uses. Broadcast
+joins are disabled so the engine's joins exercise the shuffle path at
+lite scale.
 """
 from __future__ import annotations
 

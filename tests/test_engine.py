@@ -70,6 +70,19 @@ class TestOracleCorrectness:
         a = run_strategy(spark, tree, sdata, "COM", measure=True)
         b = run_strategy(spark, tree, sdata, "COM", measure=False)
         assert a.out_rows == b.out_rows
+        # Timing mode observes nothing, so it reports no counts.
+        assert b.counts == cm.CostBreakdown()
+
+
+def assert_same_counts(spark, tree, sdata, pdata, strategy):
+    """Every counter, the output size and the factorized size of the engine
+    equal the simulator's, with flat and with factorized output."""
+    for flat in (True, False):
+        eng = run_strategy(spark, tree, sdata, strategy, flat_output=flat)
+        sim = simulate(tree, pdata, strategy, flat_output=flat)
+        assert eng.order == sim.order
+        assert eng.counts == sim.counts, f"flat_output={flat}"
+        assert (eng.out_rows, eng.factorized_rows) == (sim.out_rows, sim.factorized_rows)
 
 
 class TestSimulatorEquivalence:
@@ -79,13 +92,7 @@ class TestSimulatorEquivalence:
     @pytest.mark.parametrize("strategy", STRATS)
     def test_counts_match_simulator(self, spark, ex, strategy):
         tree, sdata, pdata = ex
-        eng = run_strategy(spark, tree, sdata, strategy)
-        sim = simulate(tree, pdata, strategy)
-        assert eng.order == sim.order
-        assert eng.counts.hash_probes == sim.counts.hash_probes
-        assert eng.counts.bv_probes == sim.counts.bv_probes
-        assert eng.counts.sj_probes == sim.counts.sj_probes
-        assert eng.out_rows == sim.out_rows
+        assert_same_counts(spark, tree, sdata, pdata, strategy)
 
     def test_factorized_rows_match(self, spark, ex):
         tree, sdata, pdata = ex
@@ -104,10 +111,7 @@ class TestSimulatorEquivalence:
         tree = mk()
         pdata = gen_tree_data(tree, 200, seed=5)
         sdata = {n: spark.createDataFrame(pdf) for n, pdf in pdata.items()}
-        eng = run_strategy(spark, tree, sdata, strategy)
-        sim = simulate(tree, pdata, strategy)
-        assert eng.counts.hash_probes == sim.counts.hash_probes
-        assert eng.out_rows == sim.out_rows
+        assert_same_counts(spark, tree, sdata, pdata, strategy)
 
 
 class TestStrategySemantics:

@@ -1,6 +1,8 @@
 """Experiment harnesses T1–T8: smoke runs at reduced scale + headline
 qualitative claims of the paper's evaluation."""
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -157,3 +159,32 @@ class TestSparkExperimentsSmoke:
         # the distribution over queries, not each query individually).
         mean_cv = lambda s: sum(by[(q, s)]["probes_cv"] for q in queries) / len(queries)
         assert mean_cv("COM") <= mean_cv("STD") + 1e-9
+
+
+def _load_run_all():
+    path = Path(__file__).resolve().parents[1] / "jobs" / "run_all.py"
+    spec = importlib.util.spec_from_file_location("run_all", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+class TestRunAll:
+    def test_unknown_table_exits_2(self, tmp_path, monkeypatch):
+        run_all = _load_run_all()
+        monkeypatch.setattr(run_all, "RESULTS", str(tmp_path / "results"))
+        assert run_all.main(["t6", "t9"]) == 2
+        assert not (tmp_path / "results").exists()
+
+    def test_failed_table_exits_1_after_the_rest(self, tmp_path, monkeypatch):
+        run_all = _load_run_all()
+        monkeypatch.setattr(run_all, "RESULTS", str(tmp_path))
+
+        def boom():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(t2_robustness_sim, "run", boom)
+        monkeypatch.setattr(t6_simulation, "run", lambda: ([{"a": 1}], "t6 table"))
+        assert run_all.main(["t2", "t6"]) == 1
+        assert "FAILED: RuntimeError('boom')" in (tmp_path / "t2.md").read_text()
+        assert "t6 table" in (tmp_path / "t6.md").read_text()

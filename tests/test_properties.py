@@ -100,13 +100,21 @@ class TestOptimizerInvariants:
                 processed.add(order[-1])
             assert opt.order_cost(t, order, fn) >= best - 1e-9
 
-    @given(trees(max_nodes=10))
+    @given(trees(), st.sampled_from([(False, 0.0), (True, 0.0), (True, 0.05)]))
     @settings(max_examples=20, deadline=None)
-    def test_cached_probes_fn_equals_plain(self, t):
-        f1, f2 = opt.com_probes_fn(t, N), opt.cached_com_probes_fn(t, N)
+    def test_cached_probes_fn_equals_plain(self, t, gate):
+        # The memoised Eq. 1, its cache warmed by the whole DP, gives step by
+        # step the probes that com_costs computes with a fresh cache, and
+        # the DP's optimum is the brute-force one.
+        bvp, eps = gate
+        fn = opt.com_probes_fn(t, N, bvp=bvp, eps=eps)
+        dp_cost, _ = opt.exhaustive_optimal(t, fn)
+        bf_cost, bf_order = opt.brute_force_optimal(t, opt.com_probes_fn(t, N, bvp=bvp, eps=eps))
+        assert dp_cost == pytest.approx(bf_cost, rel=1e-12, abs=1e-12)
+        want = cm.com_costs(t, bf_order, N, bvp=bvp, eps=eps, flat_output=False).hash_probes
         S = frozenset()
-        for l in t.default_order():
-            assert f1(l, S) == pytest.approx(f2(l, S), rel=1e-12, abs=1e-12)
+        for l in bf_order:
+            assert fn(l, S) == want[l]
             S = S | {l}
 
     @given(trees(max_nodes=8), st.sampled_from(opt.HEURISTICS))

@@ -82,7 +82,7 @@ class TestResultCorrectness:
     def test_flat_result_matches_reference(self, ex_data, strategy):
         tree, data = ex_data
         expected = canon(flat_join_pandas(tree, data))
-        _, result = simulate(tree, data, strategy, keep_result=True)
+        result = simulate(tree, data, strategy, keep_result=True).result
         pd.testing.assert_frame_equal(canon(result), expected)
 
     @pytest.mark.parametrize("strategy", STRATS)
@@ -97,7 +97,7 @@ class TestResultCorrectness:
     def test_flat_result_order_invariant(self, ex_data, strategy, order):
         tree, data = ex_data
         expected = canon(flat_join_pandas(tree, data))
-        _, result = simulate(tree, data, strategy, order=order, keep_result=True)
+        result = simulate(tree, data, strategy, order=order, keep_result=True).result
         pd.testing.assert_frame_equal(canon(result), expected)
 
     @pytest.mark.parametrize("shape", ["star", "path", "snow"])
@@ -111,13 +111,13 @@ class TestResultCorrectness:
             tree = jt.snowflake(2, 1, {c: EdgeStats(0.6, 2.0) for c in ["R2", "R3", "R4", "R5"]})
         data = gen_tree_data(tree, 400, seed=11)
         expected = canon(flat_join_pandas(tree, data))
-        _, result = simulate(tree, data, strategy, keep_result=True)
+        result = simulate(tree, data, strategy, keep_result=True).result
         pd.testing.assert_frame_equal(canon(result), expected)
 
     def test_factorized_mode_returns_no_flat_result(self, ex_data):
         tree, data = ex_data
-        stats, result = simulate(tree, data, "COM", flat_output=False, keep_result=True)
-        assert result is None
+        stats = simulate(tree, data, "COM", flat_output=False, keep_result=True)
+        assert stats.result is None
         assert stats.factorized_rows is not None and stats.factorized_rows > 0
 
     def test_out_rows_consistent(self, ex_data):
