@@ -6,8 +6,9 @@ Scale knobs via REPRO_* env vars (see repro/experiments/*). Usage:
     python jobs/run_all.py [t1 t4 ...]   # default: all tables
 
 An unknown table name exits with code 2 before Spark starts. A table that
-fails is written as ``FAILED: ...`` and the remaining tables still run;
-the exit code is then 1.
+fails is reported on stderr and its results/tN.md is left as it was, so
+the last good table stays; the remaining tables still run, and the exit
+code is then 1.
 """
 import os
 import sys
@@ -62,8 +63,9 @@ def main(which=None) -> int:
             import traceback
 
             traceback.print_exc()
-            rows, md = [], f"FAILED: {e!r}"
+            print(f"=== {name} FAILED: {e!r}", file=sys.stderr, flush=True)
             failed.append(name)
+            continue
         dt = time.time() - t0
         path = os.path.join(RESULTS, f"{name}.md")
         with open(path, "w") as f:

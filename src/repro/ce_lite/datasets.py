@@ -14,6 +14,7 @@ local scale; the shapes, not absolute sizes, carry the experiment).
 """
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,8 @@ def load_dataset(name: str, *, sf: float = 1.0, seed: int = 0) -> dict[str, pd.D
     """
     if name not in DATASETS:
         raise ValueError(f"unknown dataset {name!r}; have {sorted(DATASETS)}")
-    rng = np.random.default_rng(seed + (hash(name) & 0xFFFF))
+    # crc32, not hash(): str hashes are randomised per process.
+    rng = np.random.default_rng(seed + (zlib.crc32(name.encode()) & 0xFFFF))
     out = {}
     for lab in DATASETS[name]:
         n = max(10, int(lab.n_edges * sf))

@@ -2,10 +2,11 @@
 
 A query is a join tree whose nodes are *occurrences* of labeled edge
 tables: each occurrence gets uniquely prefixed columns
-(``occ__src``, ``occ__dst``, plus a unique ``occ__id`` required by the
-factorized engine), and each tree edge joins an endpoint of the parent
-occurrence with an endpoint of the child occurrence — the standard
-subgraph-pattern-as-multiway-join encoding.
+(``occ__src``, ``occ__dst``, plus a unique ``occ__id`` that the pandas
+simulator's factorized execution keys its spine rows by), and each tree
+edge joins an endpoint of the parent occurrence with an endpoint of the
+child occurrence — the standard subgraph-pattern-as-multiway-join
+encoding.
 
 Statistics are computed exactly from the data (``true_stats``): the paper
 evaluates execution/optimization given statistics, and keeping them exact

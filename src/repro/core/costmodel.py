@@ -293,7 +293,8 @@ def com_costs(
         hp = probes(l, processed)
         cb.hash_probes[l] = hp
         # Fresh spine rows produced by this join (match tuples generated).
-        pre_gate = hp / min(1.0, st.m + eps) if bvp else hp
+        # An m = 0 edge produces none, and its gate m + eps may be 0.
+        pre_gate = hp / min(1.0, st.m + eps) if bvp and st.m > 0 else hp
         fresh = pre_gate * st.m * st.fo
         cb.tuples_generated += fresh
         processed.add(l)
@@ -332,8 +333,9 @@ def std_costs(
         cb.hash_probes[l] = stream
         if bvp:
             # Consume l's gate: of the (m+eps) passers, the m fraction are
-            # true matches producing fo each.
-            stream = stream / min(1.0, st.m + eps) * st.m * st.fo
+            # true matches producing fo each (none when m = 0, whose gate
+            # may be 0).
+            stream = stream / min(1.0, st.m + eps) * st.m * st.fo if st.m > 0 else 0.0
         else:
             stream *= st.m * st.fo
         cb.tuples_generated += stream
@@ -450,17 +452,20 @@ def sj_costs(
 def sj_optimal_phase2_order(tree: JoinTree, *, com: bool) -> list[str]:
     """§3.6 phase-2 orders: STD → greedy increasing adjusted fanout
     (rank ordering, all selectivities 1); COM → increasing product of
-    adjusted fanouts from the root (precedence-safe since fo' >= 1)."""
+    adjusted fanouts from the root. Both pick the next node among the
+    eligible ones: an edge reduced to fo' = 0 (m = 0) zeroes the product
+    of its whole subtree, which would otherwise sort a child first."""
     _, adj = sj_adjusted(tree)
-    if com:
-        pathprod: dict[str, float] = {tree.root: 1.0}
-        for n in tree.bfs_order()[1:]:
-            pathprod[n] = pathprod[tree.parent[n]] * max(adj[n].fo, 1e-300)
-        return sorted(tree.nonroot, key=lambda c: (pathprod[c], tree.depth(c), c))
+    pathprod: dict[str, float] = {tree.root: 1.0}
+    for n in tree.bfs_order()[1:]:
+        pathprod[n] = pathprod[tree.parent[n]] * adj[n].fo
     order: list[str] = []
     processed: set[str] = set()
     while len(order) < len(tree.nonroot):
-        nxt = min(tree.eligible(processed), key=lambda c: (adj[c].fo, c))
+        nxt = min(
+            tree.eligible(processed),
+            key=lambda c: (pathprod[c], tree.depth(c), c) if com else (adj[c].fo, c),
+        )
         order.append(nxt)
         processed.add(nxt)
     return order

@@ -1,31 +1,49 @@
 """COM / BVP+COM: factorized execution avoiding redundant probes (§4.2–4.3).
 
-The factorized intermediate representation is realized relationally:
+The factorized representation keeps one frame per node, the relational
+form of the paper's per-node vectors with each row pointing at its parent
+row (cf. Olteanu & Závodný, *Factorised representations of query
+results*, TODS 2015):
 
-- ``spine[n]`` — the flat expansion of the *path* driver→n only (the
-  analogue of the paper's per-node VectorColumns grouped under their
-  ancestors' count columns); built once, when n is joined, from the alive
-  spine of its parent — this is where redundant probes are avoided, since
-  side branches never multiply into the probe stream;
-- ``alive[n]`` — the surviving composite keys (id columns along the path)
-  of n's spine, the analogue of the selection vectors; deaths propagate
-  upward when a processed branch finds no match, and downward lazily via
-  probe-time semi-joins against every path ancestor's alive set;
-- the final *expansion* (§4.3 "Result Expansion") joins the per-edge match
-  tables back along the tree to emit flat output tuples.
+- ``spine[n]`` holds n's own columns, a row id ``n__rid`` and a pointer
+  ``n__ptr`` to the parent's spine row it extends (the root has none). It
+  is built once, when n is joined, by probing R_n with the live rows of
+  n's parent; side branches never multiply into the probe stream, which
+  is where redundant probes are avoided;
+- ``spine[n]`` keeps only rows alive at n, the analogue of the selection
+  vectors: when a join leaves a row without a match, the death propagates
+  upward, one pointer semi-join per edge to the root. Downward, deaths
+  stay lazy: a row is *live* when its parent row is live, which is
+  checked where rows are probed or counted;
+- the *expansion* (§4.3 "Result Expansion") inner-joins the spines along
+  the pointers; a row whose ancestor died finds no partner.
 
-Every operation below is a Catalyst plan (joins, left-semi joins,
-distinct); ``localCheckpoint`` pins the factorized state exactly where
-the paper's engine materializes its intermediate vectors.
+Every operation below is a Catalyst plan; ``localCheckpoint`` pins each
+spine where the paper's engine materializes its vectors.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 
 from repro.core.costmodel import CostBreakdown
 from repro.core.jointree import JoinTree
 
-from .common import Gater, ckpt, keycols
+from .common import Gater, ckpt
+
+
+def rid(n: str) -> str:
+    return f"{n}__rid"
+
+
+def ptr(n: str) -> str:
+    return f"{n}__ptr"
+
+
+def pin_spine(df: DataFrame, n: str) -> DataFrame:
+    """Number the rows of n's spine and materialize it at once: the ids
+    ``monotonically_increasing_id`` assigns would change if recomputed."""
+    return ckpt(df.withColumn(rid(n), F.monotonically_increasing_id()))
 
 
 def run_com(
@@ -45,63 +63,50 @@ def run_com(
     driver = data[root]
     if gater:
         driver = gater.gate_children(driver, root, order_pos, counts, measure)
-    driver = ckpt(driver)
-    spine: dict[str, DataFrame] = {root: driver}
-    alive: dict[str, DataFrame] = {root: ckpt(driver.select(keycols(tree, root)).distinct())}
+    spine: dict[str, DataFrame] = {root: pin_spine(driver, root)}
+
+    def live(n: str) -> DataFrame:
+        if n == root:
+            return spine[n]
+        p = tree.parent[n]
+        return spine[n].join(live(p), on=F.col(ptr(n)) == F.col(rid(p)), how="left_semi")
 
     for l in order:
         p = tree.parent[l]
-        asp = spine[p]
-        for a in tree.path_from_root(p):
-            asp = asp.join(alive[a], on=keycols(tree, a), how="left_semi")
+        probe = live(p)
         if measure:
-            # The probe-side frame is consumed once; pin it only when the
-            # count action would otherwise recompute it.
-            asp = ckpt(asp)
-            counts.hash_probes[l] = float(asp.count())
+            # Pinned only because the count would otherwise recompute it.
+            probe = ckpt(probe)
+            counts.hash_probes[l] = float(probe.count())
         pcol, ccol = tree.join_cols[l]
-        sp = asp.join(data[l], on=asp[pcol] == data[l][ccol], how="inner")
-        sp = ckpt(sp)
+        sp = probe.join(data[l], on=F.col(pcol) == F.col(ccol), how="inner")
+        sp = sp.select(*data[l].columns, F.col(rid(p)).alias(ptr(l)))
         if measure:
+            sp = ckpt(sp)
             counts.tuples_generated += sp.count()
         if gater and tree.children(l):
-            sp = ckpt(gater.gate_children(sp, l, order_pos, counts, measure))
-        spine[l] = sp
-        alive[l] = ckpt(sp.select(keycols(tree, l)).distinct())
-        # Upward death propagation along the path to the root.
+            sp = gater.gate_children(sp, l, order_pos, counts, measure)
+        spine[l] = pin_spine(sp, l)
+        # Upward death propagation: a row stays alive at a only while its
+        # child on the path to l keeps a row alive.
         child = l
         for a in tree.path_to_root(l)[1:]:
-            surv = (
-                spine[child]
-                .join(alive[child], on=keycols(tree, child), how="left_semi")
-                .select(keycols(tree, a))
-                .distinct()
-            )
-            alive[a] = ckpt(alive[a].join(surv, on=keycols(tree, a), how="left_semi"))
+            alive = spine[a].join(spine[child], on=F.col(rid(a)) == F.col(ptr(child)), how="left_semi")
+            spine[a] = ckpt(alive)
             child = a
 
-    final: dict[str, DataFrame] = {}
-    count_fact = measure or not flat_output
-    fact_rows = 0 if count_fact else None
-    for n in [root, *order]:
-        sp = spine[n]
-        for a in tree.path_from_root(n):
-            sp = sp.join(alive[a], on=keycols(tree, a), how="left_semi")
-        if count_fact:
-            sp = ckpt(sp)
-            fact_rows += sp.count()
-        final[n] = sp
-
+    fact_rows = None
+    if measure or not flat_output:
+        fact_rows = sum(live(n).count() for n in [root, *order])
     if not flat_output:
         return None, fact_rows
 
-    flat = final[root]
+    flat = spine[root]
     for c in tree.bfs_order()[1:]:
         p = tree.parent[c]
-        own = data[c].columns
-        piece = final[c].select(keycols(tree, p) + own)
-        flat = flat.join(piece, on=keycols(tree, p), how="inner")
+        flat = flat.join(spine[c], on=F.col(rid(p)) == F.col(ptr(c)), how="inner")
         if measure:
             flat = ckpt(flat)
             counts.expansion_tuples += flat.count()
-    return flat, fact_rows
+    cols = [col for n in tree.bfs_order() for col in data[n].columns]
+    return flat.select(*cols), fact_rows

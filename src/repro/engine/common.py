@@ -13,7 +13,6 @@ from pyspark.sql import DataFrame
 
 from repro.bloom import build_bitvector
 from repro.core.costmodel import CostBreakdown
-from repro.core.datagen import id_col
 from repro.core.jointree import JoinTree
 
 
@@ -25,11 +24,6 @@ def ckpt(df: DataFrame) -> DataFrame:
     downstream semi-joins don't recompute (or replan) the whole history.
     """
     return df.localCheckpoint(eager=True)
-
-
-def keycols(tree: JoinTree, a: str) -> list[str]:
-    """Composite spine key of node ``a``: the id columns along root→a."""
-    return [id_col(b) for b in tree.path_from_root(a)]
 
 
 class Gater:

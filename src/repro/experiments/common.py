@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import os
 import random
+import zlib
 from typing import Any
 
 from repro.core.jointree import JoinTree
@@ -31,6 +32,15 @@ def env_int(name: str, default: int) -> int:
 
 def env_float(name: str, default: float) -> float:
     return float(os.environ.get(name, default))
+
+
+def stable_seed(*parts: Any) -> int:
+    """A seed derived from ``parts`` that is the same in every process.
+
+    ``hash()`` of a tuple holding a str is not: str hashes are randomised
+    per process (PYTHONHASHSEED).
+    """
+    return zlib.crc32(repr(parts).encode()) & 0x7FFFFFFF
 
 
 def random_valid_order(tree: JoinTree, rng: random.Random) -> list[str]:

@@ -20,7 +20,7 @@ from repro.core.optimizer import greedy_order
 from repro.core.robustness import M_RANGES
 from repro.engine import run_strategy
 
-from .common import env_float, env_int, md_table
+from .common import env_float, env_int, md_table, stable_seed
 from .shapes import SHAPES, sample_shaped_tree
 
 COM_VARIANTS = ("COM", "BVP+COM", "SJ+COM")
@@ -35,7 +35,7 @@ def run(spark: SparkSession, *, n_driver: int | None = None, seed: int = 0, shap
     rows = []
     for shape in shapes:
         for mr in m_ranges:
-            rng = random.Random((seed, shape, mr).__hash__() & 0x7FFFFFFF)
+            rng = random.Random(stable_seed(seed, shape, mr))
             tree = sample_shaped_tree(shape, rng, m_range=mr, n_driver=n_driver, max_out=max_out)
             pdata = gen_tree_data(tree, n_driver, seed=rng.randrange(1 << 30))
             sdata = {n: spark.createDataFrame(pdf) for n, pdf in pdata.items()}

@@ -16,7 +16,7 @@ from repro.core.costmodel import STRATEGIES, plan_costs
 from repro.core.optimizer import greedy_order
 from repro.engine import run_strategy
 
-from .common import env_float, env_int, md_table
+from .common import env_float, env_int, md_table, stable_seed
 
 DATASET_NAMES = ["epinions_lite", "imdb_lite", "watdiv_lite", "dblp_lite", "yago_lite"]
 
@@ -30,7 +30,7 @@ def run(spark: SparkSession, *, n_queries: int | None = None, seed: int = 0, dat
     for ds in datasets:
         tables = load_dataset(ds, sf=1.0, seed=seed)
         for qi in range(n_queries):
-            rng = random.Random((seed, ds, qi).__hash__() & 0x7FFFFFFF)
+            rng = random.Random(stable_seed(seed, ds, qi))
             # Heavily-skewed datasets may admit no 5-way query under the
             # cap — fall back to 4 relations, then to a looser cap.
             tree = pdata = None

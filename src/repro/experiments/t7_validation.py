@@ -20,7 +20,7 @@ from repro.core.datagen import gen_tree_data
 from repro.core.simulator import simulate
 from repro.engine import run_strategy
 
-from .common import env_int, md_table, random_valid_order
+from .common import env_int, md_table, random_valid_order, stable_seed
 from .shapes import SHAPES, sample_shaped_tree
 
 
@@ -42,7 +42,7 @@ def run(spark: SparkSession | None, *, n_driver: int | None = None, seed: int = 
     w = Weights()
     rows = []
     for shape in shapes:
-        rng = random.Random((seed, shape).__hash__() & 0x7FFFFFFF)
+        rng = random.Random(stable_seed(seed, shape))
         tree = sample_shaped_tree(
             shape, rng, m_range=(0.2, 0.6), fo_range=(1.0, 6.0), n_driver=n_driver, max_out=1e6
         )

@@ -21,7 +21,7 @@ from repro.core.costmodel import STRATEGIES, Weights
 from repro.core.simulator import simulate
 from repro.engine import run_strategy
 
-from .common import env_int, md_table, random_valid_order
+from .common import env_int, md_table, random_valid_order, stable_seed
 from .shapes import sample_shaped_tree
 
 
@@ -55,7 +55,7 @@ def run(spark: SparkSession | None, *, n_driver: int | None = None, seed: int = 
     w = Weights()
     rows = []
     for qname, tree, pdata in _queries(seed, n_driver):
-        rng = random.Random((seed, qname).__hash__() & 0x7FFFFFFF)
+        rng = random.Random(stable_seed(seed, qname))
         if pdata is None:
             from repro.core.datagen import gen_tree_data
 

@@ -1,5 +1,8 @@
 """CE-lite datasets and query sampling (pure pandas — fast)."""
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -32,6 +35,23 @@ class TestDatasets:
         b = load_dataset("yago_lite", sf=0.1, seed=3)
         for k in a:
             assert a[k].equals(b[k])
+
+    def test_deterministic_across_processes(self):
+        # str hashes differ per process; the dataset must not.
+        code = (
+            "from repro.ce_lite import load_dataset\n"
+            "for k, df in sorted(load_dataset('imdb_lite', sf=0.1).items()):\n"
+            "    print(k, df.to_csv(index=False))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", code], env={**env, "PYTHONHASHSEED": hs},
+                capture_output=True, text=True, check=True, timeout=120,
+            ).stdout
+            for hs in ("1", "2")
+        ]
+        assert outs[0] == outs[1] and "acts_in" in outs[0]
 
     def test_edges_deduplicated(self, dblp):
         for df in dblp.values():

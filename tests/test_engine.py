@@ -1,8 +1,13 @@
 """Spark engine: result correctness (DuckDB oracle), probe-count equality
 with the reference simulator, and strategy semantics."""
+import random
+
 import pandas as pd
 import pytest
+from pyspark.sql.types import LongType, StructField, StructType
 
+from repro.ce_lite import load_dataset, random_query
+from repro.ce_lite.queries import output_count_duckdb
 from repro.core import costmodel as cm
 from repro.core import jointree as jt
 from repro.core.datagen import gen_tree_data
@@ -65,21 +70,25 @@ class TestOracleCorrectness:
         )
         assert_equivalent(res.result, oracle_sql(tree), **pdata)
 
-    def test_timing_mode_same_output_count(self, spark, ex):
+    @pytest.mark.parametrize("flat", [True, False])
+    @pytest.mark.parametrize("strategy", STRATS)
+    def test_timing_mode_same_output_count(self, spark, ex, strategy, flat):
         tree, sdata, pdata = ex
-        a = run_strategy(spark, tree, sdata, "COM", measure=True)
-        b = run_strategy(spark, tree, sdata, "COM", measure=False)
+        a = run_strategy(spark, tree, sdata, strategy, measure=True, flat_output=flat)
+        b = run_strategy(spark, tree, sdata, strategy, measure=False, flat_output=flat)
         assert a.out_rows == b.out_rows
+        # Timing mode counts the factorized size only when it is the output.
+        assert b.factorized_rows == (None if flat else a.factorized_rows)
         # Timing mode observes nothing, so it reports no counts.
         assert b.counts == cm.CostBreakdown()
 
 
-def assert_same_counts(spark, tree, sdata, pdata, strategy):
+def assert_same_counts(spark, tree, sdata, pdata, strategy, order=None):
     """Every counter, the output size and the factorized size of the engine
     equal the simulator's, with flat and with factorized output."""
     for flat in (True, False):
-        eng = run_strategy(spark, tree, sdata, strategy, flat_output=flat)
-        sim = simulate(tree, pdata, strategy, flat_output=flat)
+        eng = run_strategy(spark, tree, sdata, strategy, order, flat_output=flat)
+        sim = simulate(tree, pdata, strategy, order, flat_output=flat)
         assert eng.order == sim.order
         assert eng.counts == sim.counts, f"flat_output={flat}"
         assert (eng.out_rows, eng.factorized_rows) == (sim.out_rows, sim.factorized_rows)
@@ -112,6 +121,82 @@ class TestSimulatorEquivalence:
         pdata = gen_tree_data(tree, 200, seed=5)
         sdata = {n: spark.createDataFrame(pdf) for n, pdf in pdata.items()}
         assert_same_counts(spark, tree, sdata, pdata, strategy)
+
+
+def to_spark(spark, pdf):
+    """All test columns are int64; an empty frame gives Spark no rows to
+    infer that from, so the schema is explicit."""
+    schema = StructType([StructField(c, LongType()) for c in pdf.columns])
+    return spark.createDataFrame(pdf, schema=schema)
+
+
+def dfs_order(tree):
+    """Depth-first join order; unlike BFS it joins a grandchild before its
+    parent's siblings."""
+    out = []
+
+    def visit(n):
+        for c in tree.children(n):
+            out.append(c)
+            visit(c)
+
+    visit(tree.root)
+    return out
+
+
+def ce_mn_query():
+    """A depth-2 CE-lite query whose rows are not unique per join key, so one
+    child row sits under many spine rows of its parent."""
+    tables = load_dataset("dblp_lite", sf=0.3)
+    return random_query(random.Random(2), tables, n_rels=4, max_out=2e4)
+
+
+def snow21(n_driver, m_r3=0.6):
+    stats = {
+        "R2": EdgeStats(0.8, 2.0),
+        "R3": EdgeStats(m_r3, 2.0),
+        "R4": EdgeStats(0.6, 3.0),
+        "R5": EdgeStats(0.7, 2.0),
+    }
+    tree = jt.snowflake(2, 1, stats)
+    return tree, gen_tree_data(tree, n_driver, seed=7)
+
+
+EDGE_CASES = {
+    "ce-mn-depth2": ce_mn_query,
+    "snow21-m0-edge": lambda: snow21(200, m_r3=0.0),
+    "snow21-empty-driver": lambda: snow21(0),
+}
+
+
+@pytest.fixture(scope="module", params=list(EDGE_CASES))
+def edge_case(request, spark):
+    tree, pdata = EDGE_CASES[request.param]()
+    return tree, {n: to_spark(spark, pdf) for n, pdf in pdata.items()}, pdata
+
+
+class TestEdgeCaseDifferential:
+    """Engine vs simulator vs DuckDB on inputs the other tests never build:
+    a child row under many spine rows (CE-lite m:n keys at depth 2), an
+    m = 0 edge and an empty driver, each with a non-BFS order."""
+
+    def test_ce_child_rows_shared_by_many_spine_rows(self):
+        tree, pdata = ce_mn_query()
+        c = max(tree.nonroot, key=tree.depth)
+        assert tree.depth(c) == 2
+        p = tree.parent[c]
+        (rcol, pjoin), (pcol, ccol) = tree.join_cols[p], tree.join_cols[c]
+        spine = pdata[tree.root].merge(pdata[p], left_on=rcol, right_on=pjoin)
+        per_child_row = pdata[c][ccol].map(spine[pcol].value_counts()).fillna(0)
+        assert per_child_row.max() > 100
+
+    @pytest.mark.parametrize("strategy", STRATS)
+    def test_engine_matches_simulator_and_duckdb(self, spark, edge_case, strategy):
+        tree, sdata, pdata = edge_case
+        order = dfs_order(tree)
+        assert_same_counts(spark, tree, sdata, pdata, strategy, order)
+        timed = run_strategy(spark, tree, sdata, strategy, order, measure=False)
+        assert timed.out_rows == output_count_duckdb(tree, pdata)
 
 
 class TestStrategySemantics:

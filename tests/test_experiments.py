@@ -176,7 +176,7 @@ class TestRunAll:
         assert run_all.main(["t6", "t9"]) == 2
         assert not (tmp_path / "results").exists()
 
-    def test_failed_table_exits_1_after_the_rest(self, tmp_path, monkeypatch):
+    def test_failed_table_exits_1_after_the_rest(self, tmp_path, monkeypatch, capsys):
         run_all = _load_run_all()
         monkeypatch.setattr(run_all, "RESULTS", str(tmp_path))
 
@@ -185,6 +185,8 @@ class TestRunAll:
 
         monkeypatch.setattr(t2_robustness_sim, "run", boom)
         monkeypatch.setattr(t6_simulation, "run", lambda: ([{"a": 1}], "t6 table"))
+        (tmp_path / "t2.md").write_text("last good t2")
         assert run_all.main(["t2", "t6"]) == 1
-        assert "FAILED: RuntimeError('boom')" in (tmp_path / "t2.md").read_text()
+        assert (tmp_path / "t2.md").read_text() == "last good t2"
+        assert "t2 FAILED: RuntimeError('boom')" in capsys.readouterr().err
         assert "t6 table" in (tmp_path / "t6.md").read_text()

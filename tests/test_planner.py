@@ -42,6 +42,19 @@ class TestRanking:
         for p in rank_strategies(t):
             assert t.is_valid_order(p.order)
 
+    @pytest.mark.parametrize("method", ["survival", "optimal"])
+    def test_zero_match_estimate_gives_six_valid_plans(self, method):
+        # A small sample can estimate m = 0; here R3 hangs under R2, so the
+        # SJ reduction zeroes R2's branch and the BVP gate m + eps is 0.
+        stats = {c: EdgeStats(0.8, 3.0) for c in ["R2", "R4", "R5"]}
+        t = jt.snowflake(2, 1, {**stats, "R3": EdgeStats(0.0, 0.0)})
+        t.size.update({n: 1000.0 for n in t.nodes})
+        plans = rank_strategies(t, method=method)
+        assert sorted(p.strategy for p in plans) == sorted(cm.STRATEGIES)
+        for p in plans:
+            assert t.is_valid_order(p.order), p
+            assert p.cost >= 0
+
 
 class TestStrategySelection:
     """§5.4 qualitative behaviour of the analytic comparison."""
