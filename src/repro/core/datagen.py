@@ -9,7 +9,7 @@ requested fanout per matched tuple. This satisfies the cost model's
 generated data ideal for validating the estimators.
 
 The same frames feed the pandas reference simulator and (via
-``spark.createDataFrame``) the Spark engine, so the two can be compared
+``repro.session.to_spark``) the Spark engine, so the two can be compared
 for exact probe-count equality.
 
 Column convention: relation ``R`` has a unique id ``R__id``, a foreign key

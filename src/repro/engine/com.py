@@ -26,10 +26,9 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.costmodel import CostBreakdown
 from repro.core.jointree import JoinTree
 
-from .common import Gater, ckpt
+from .common import Counted, Gater, ckpt
 
 
 def rid(n: str) -> str:
@@ -51,18 +50,17 @@ def run_com(
     data: dict[str, DataFrame],
     order: list[str],
     gater: Gater | None,
-    counts: CostBreakdown,
-    measure: bool,
+    counted: Counted,
     flat_output: bool,
 ) -> tuple[DataFrame | None, int | None]:
-    """Execute the factorized plan; returns (flat result | None, factorized
-    row count). The flat result is lazy; factorized sizes are counted
-    eagerly (they are the terminal action in factorized-output mode)."""
+    """Execute the factorized plan; returns the lazy flat result, or with
+    factorized output the factorized row count, which is then the terminal
+    action."""
     order_pos = {c: i for i, c in enumerate(order)}
     root = tree.root
     driver = data[root]
     if gater:
-        driver = gater.gate_children(driver, root, order_pos, counts, measure)
+        driver = gater.gate_children(driver, root, order_pos, counted)
     spine: dict[str, DataFrame] = {root: pin_spine(driver, root)}
 
     def live(n: str) -> DataFrame:
@@ -74,18 +72,13 @@ def run_com(
     for l in order:
         p = tree.parent[l]
         probe = live(p)
-        if measure:
-            # Pinned only because the count would otherwise recompute it.
-            probe = ckpt(probe)
-            counts.hash_probes[l] = float(probe.count())
+        counted.append(("hash_probes", l, probe))
         pcol, ccol = tree.join_cols[l]
         sp = probe.join(data[l], on=F.col(pcol) == F.col(ccol), how="inner")
         sp = sp.select(*data[l].columns, F.col(rid(p)).alias(ptr(l)))
-        if measure:
-            sp = ckpt(sp)
-            counts.tuples_generated += sp.count()
+        counted.append(("tuples_generated", None, sp))
         if gater and tree.children(l):
-            sp = gater.gate_children(sp, l, order_pos, counts, measure)
+            sp = gater.gate_children(sp, l, order_pos, counted)
         spine[l] = pin_spine(sp, l)
         # Upward death propagation: a row stays alive at a only while its
         # child on the path to l keeps a row alive.
@@ -95,18 +88,13 @@ def run_com(
             spine[a] = ckpt(alive)
             child = a
 
-    fact_rows = None
-    if measure or not flat_output:
-        fact_rows = sum(live(n).count() for n in [root, *order])
     if not flat_output:
-        return None, fact_rows
+        return None, sum(live(n).count() for n in [root, *order])
 
     flat = spine[root]
     for c in tree.bfs_order()[1:]:
         p = tree.parent[c]
         flat = flat.join(spine[c], on=F.col(rid(p)) == F.col(ptr(c)), how="inner")
-        if measure:
-            flat = ckpt(flat)
-            counts.expansion_tuples += flat.count()
+        counted.append(("expansion_tuples", None, flat))
     cols = [col for n in tree.bfs_order() for col in data[n].columns]
-    return flat.select(*cols), fact_rows
+    return flat.select(*cols), None

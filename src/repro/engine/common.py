@@ -1,4 +1,4 @@
-"""Shared engine plumbing: bitvector gating, checkpoints.
+"""Shared engine plumbing: bitvector gating, checkpoints, counted frames.
 
 The engine's probe counters implement the same abstract semantics as
 ``repro.core.simulator`` (one hash probe per alive input tuple per
@@ -6,14 +6,21 @@ operator; one BV probe per row per bitvector check; one semi-join probe
 per row per phase-1 existence check), so on identical inputs and exact
 bitvectors the two produce identical counts — a property the tests rely
 on.
+
+Operators do not count: each appends ``(counter, node, frame)`` to a
+:data:`Counted` list for every frame whose size feeds a counter, where
+``counter`` names a :class:`~repro.core.costmodel.CostBreakdown` field and
+``node`` is its key (``None`` for the scalar fields). The runner counts
+the frames after the run.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
 
 from repro.bloom import build_bitvector
-from repro.core.costmodel import CostBreakdown
 from repro.core.jointree import JoinTree
+
+Counted = list[tuple[str, str | None, DataFrame]]
 
 
 def ckpt(df: DataFrame) -> DataFrame:
@@ -43,21 +50,10 @@ class Gater:
             for c in tree.nonroot
         }
 
-    def gate_children(
-        self,
-        df: DataFrame,
-        a: str,
-        order_pos: dict[str, int],
-        counts: CostBreakdown,
-        measure: bool,
-    ) -> DataFrame:
+    def gate_children(self, df: DataFrame, a: str, order_pos: dict[str, int], counted: Counted) -> DataFrame:
         """Apply the bitvectors of ``a``'s children to ``df`` in join-order
-        sequence; in measure mode count one BV probe per row per check."""
+        sequence; each check's input is one BV probe per row."""
         for c in sorted(self.tree.children(a), key=lambda c: order_pos[c]):
-            if measure:
-                counts.bv_probes[c] = counts.bv_probes.get(c, 0.0) + df.count()
-            attr = self.tree.join_cols[c][0]
-            df = self.bvs[c].filter(df, attr)
-            if measure:
-                df = ckpt(df)
+            counted.append(("bv_probes", c, df))
+            df = self.bvs[c].filter(df, self.tree.join_cols[c][0])
         return df

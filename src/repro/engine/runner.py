@@ -1,13 +1,19 @@
 """Strategy dispatcher: execute one (strategy, order) on Spark and report
 probe counts, output size, and wall-clock time.
 
-``measure=True`` inserts per-operator ``count()`` actions (exact probe
-accounting, comparable with the cost model and the pandas simulator);
-``measure=False`` runs the leanest pipeline for wall-clock benchmarking,
-with a single terminal action, and leaves every counter at 0.
+Every run builds the same lean plan, with a single terminal action, and
+its operators record the frames their counters count (``Counted``). The
+clock stops after the terminal action; only with ``measure=True`` are the
+recorded frames then counted, each distinct frame once and all of them in
+one Spark action. So a counted run reports the counts and the wall time of
+one plan. Each frame is a deterministic plan over the input relations and
+the checkpointed spines, so counting it later gives the counts of the run.
+Counting recomputes each unpinned join chain (an STD prefix, a phase-1
+semi-join chain, a COM expansion prefix), so a counted call takes longer
+than a timed one.
 
-Why two modes rather than one with counters always on: the two ways of
-counting inside the timed plan both fall short.
+Why after the clock and not inside the timed plan: the two ways of
+counting inside it both fall short.
 
 - Lazy ``observe()`` metrics count only the rows an operator actually
   pulls, and a sort-merge join stops pulling from one side when the other
@@ -22,16 +28,39 @@ counting inside the timed plan both fall short.
 from __future__ import annotations
 
 import time
+from functools import reduce
 
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 
 from repro.core.costmodel import STRATEGIES, CostBreakdown, ExecResult, sj_optimal_phase2_order
 from repro.core.jointree import JoinTree
 
 from .com import run_com
-from .common import Gater
+from .common import Counted, Gater
 from .sj import run_sj
 from .std import run_std
+
+
+def count_frames(counted: Counted) -> CostBreakdown:
+    """Add up the recorded frames' row counts per counter, in one Spark
+    action that counts each distinct frame once."""
+    index: dict[int, int] = {}
+    frames = []
+    for _, _, df in counted:
+        if id(df) not in index:
+            index[id(df)] = i = len(frames)
+            frames.append(df.select(F.lit(i).alias("__frame")))
+    sizes = dict(reduce(DataFrame.unionAll, frames).groupBy("__frame").count().collect()) if frames else {}
+    counts = CostBreakdown()
+    for counter, node, df in counted:
+        n = sizes.get(index[id(df)], 0)
+        if node is None:
+            setattr(counts, counter, getattr(counts, counter) + n)
+        else:
+            per_node = getattr(counts, counter)
+            per_node[node] = per_node.get(node, 0.0) + n
+    return counts
 
 
 def run_strategy(
@@ -54,11 +83,11 @@ def run_strategy(
     column bindings in ``tree.join_cols``. ``order`` defaults to BFS
     (SJ: the §3.6 optimal phase-2 order). Timing includes bitvector
     construction and the phase-1 reduction — those are part of each
-    technique's real cost.
+    technique's real cost. ``measure=False`` leaves every counter at 0.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    counts = CostBreakdown()
+    counted: Counted = []
     t0 = time.perf_counter()
 
     gater = None
@@ -69,28 +98,26 @@ def run_strategy(
     result: DataFrame | None = None
     fact_rows: int | None = None
     if strategy.startswith("SJ"):
+        com = strategy.endswith("COM")
         if order is None:
-            order = sj_optimal_phase2_order(tree, com=strategy.endswith("COM"))
-        result, fact_rows = run_sj(
-            tree, data, order, counts, measure, com=strategy.endswith("COM"), flat_output=flat_output
-        )
+            order = sj_optimal_phase2_order(tree, com=com)
+        result, fact_rows = run_sj(tree, data, order, counted, com=com, flat_output=flat_output)
     else:
         if order is None:
             order = tree.default_order()
         if strategy.endswith("COM"):
-            result, fact_rows = run_com(tree, data, order, gater, counts, measure, flat_output)
+            result, fact_rows = run_com(tree, data, order, gater, counted, flat_output)
         else:
-            result = run_std(tree, data, order, gater, counts, measure)
+            result = run_std(tree, data, order, gater, counted)
 
     out_rows = None if result is None else result.count()
     wall = time.perf_counter() - t0
     return ExecResult(
         strategy=strategy,
         order=list(order),
-        counts=counts,
+        counts=count_frames(counted) if measure else CostBreakdown(),
         out_rows=out_rows,
         factorized_rows=fact_rows,
         wall_time_s=wall,
         result=result if keep_result else None,
     )
-

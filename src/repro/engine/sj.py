@@ -11,19 +11,13 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.costmodel import CostBreakdown, sj_adjusted
+from repro.core.costmodel import sj_adjusted
 from repro.core.jointree import JoinTree
 
-from .common import ckpt
+from .common import Counted, ckpt
 
 
-def run_sj_phase1(
-    tree: JoinTree,
-    data: dict[str, DataFrame],
-    counts: CostBreakdown,
-    measure: bool,
-    semi_orders: dict[str, list[str]] | None = None,
-) -> dict[str, DataFrame]:
+def run_sj_phase1(tree: JoinTree, data: dict[str, DataFrame], counted: Counted) -> dict[str, DataFrame]:
     """Returns the reduced relation per node (leaves unreduced)."""
     _, adj = sj_adjusted(tree)
     reduced: dict[str, DataFrame] = dict(data)
@@ -31,19 +25,12 @@ def run_sj_phase1(
         kids = tree.children(p)
         if not kids:
             continue
-        if semi_orders and p in semi_orders:
-            kids = semi_orders[p]
-        else:
-            kids = sorted(kids, key=lambda c: (adj[c].m, c))
         df = data[p]
-        for c in kids:
-            if measure:
-                counts.sj_probes[c] = counts.sj_probes.get(c, 0.0) + df.count()
+        for c in sorted(kids, key=lambda c: (adj[c].m, c)):
+            counted.append(("sj_probes", c, df))
             pcol, ccol = tree.join_cols[c]
             keys = reduced[c].select(F.col(ccol).alias("__sj_key")).distinct()
             df = df.join(keys, on=F.col(pcol) == F.col("__sj_key"), how="left_semi")
-            if measure:
-                df = ckpt(df)
         reduced[p] = ckpt(df)
     return reduced
 
@@ -52,17 +39,15 @@ def run_sj(
     tree: JoinTree,
     data: dict[str, DataFrame],
     order: list[str],
-    counts: CostBreakdown,
-    measure: bool,
+    counted: Counted,
     *,
     com: bool,
     flat_output: bool,
-    semi_orders: dict[str, list[str]] | None = None,
 ) -> tuple[DataFrame | None, int | None]:
     from .com import run_com
     from .std import run_std
 
-    reduced = run_sj_phase1(tree, data, counts, measure, semi_orders)
+    reduced = run_sj_phase1(tree, data, counted)
     if com:
-        return run_com(tree, reduced, order, None, counts, measure, flat_output)
-    return run_std(tree, reduced, order, None, counts, measure), None
+        return run_com(tree, reduced, order, None, counted, flat_output)
+    return run_std(tree, reduced, order, None, counted), None

@@ -9,10 +9,9 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.costmodel import CostBreakdown
 from repro.core.jointree import JoinTree
 
-from .common import Gater, ckpt
+from .common import Counted, Gater
 
 
 def run_std(
@@ -20,22 +19,18 @@ def run_std(
     data: dict[str, DataFrame],
     order: list[str],
     gater: Gater | None,
-    counts: CostBreakdown,
-    measure: bool,
+    counted: Counted,
 ) -> DataFrame:
-    """Execute the plan; returns the (lazy unless measuring) flat result."""
+    """Execute the plan; returns the lazy flat result."""
     order_pos = {c: i for i, c in enumerate(order)}
     df = data[tree.root]
     if gater:
-        df = gater.gate_children(df, tree.root, order_pos, counts, measure)
+        df = gater.gate_children(df, tree.root, order_pos, counted)
     for l in order:
-        if measure:
-            counts.hash_probes[l] = float(df.count())
+        counted.append(("hash_probes", l, df))
         pcol, ccol = tree.join_cols[l]
         df = df.join(data[l], on=F.col(pcol) == F.col(ccol), how="inner")
-        if measure:
-            df = ckpt(df)
-            counts.tuples_generated += df.count()
+        counted.append(("tuples_generated", None, df))
         if gater and tree.children(l):
-            df = gater.gate_children(df, l, order_pos, counts, measure)
+            df = gater.gate_children(df, l, order_pos, counted)
     return df

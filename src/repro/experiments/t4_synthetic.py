@@ -19,6 +19,7 @@ from repro.core.datagen import gen_tree_data
 from repro.core.optimizer import greedy_order
 from repro.core.robustness import M_RANGES
 from repro.engine import run_strategy
+from repro.session import to_spark
 
 from .common import env_float, env_int, md_table, stable_seed
 from .shapes import SHAPES, sample_shaped_tree
@@ -38,7 +39,7 @@ def run(spark: SparkSession, *, n_driver: int | None = None, seed: int = 0, shap
             rng = random.Random(stable_seed(seed, shape, mr))
             tree = sample_shaped_tree(shape, rng, m_range=mr, n_driver=n_driver, max_out=max_out)
             pdata = gen_tree_data(tree, n_driver, seed=rng.randrange(1 << 30))
-            sdata = {n: spark.createDataFrame(pdf) for n, pdf in pdata.items()}
+            sdata = to_spark(spark, pdata)
             order = greedy_order(tree, "survival", n_driver)
 
             walls: dict[str, float | None] = {}

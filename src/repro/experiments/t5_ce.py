@@ -15,6 +15,7 @@ from repro.ce_lite import load_dataset, random_query
 from repro.core.costmodel import STRATEGIES, plan_costs
 from repro.core.optimizer import greedy_order
 from repro.engine import run_strategy
+from repro.session import to_spark
 
 from .common import env_float, env_int, md_table, stable_seed
 
@@ -43,7 +44,7 @@ def run(spark: SparkSession, *, n_queries: int | None = None, seed: int = 0, dat
             if tree is None:
                 rows.append({"dataset": ds, "query": f"q{qi}", "n_rels": "unsat"})
                 continue
-            sdata = {n: spark.createDataFrame(df) for n, df in pdata.items()}
+            sdata = to_spark(spark, pdata)
             n_driver = len(pdata[tree.root])
             order = greedy_order(tree, "survival", n_driver)
             walls: dict[str, float | None] = {}

@@ -20,6 +20,7 @@ from repro.ce_lite import load_dataset, random_query
 from repro.core.costmodel import STRATEGIES, Weights
 from repro.core.simulator import simulate
 from repro.engine import run_strategy
+from repro.session import to_spark
 
 from .common import env_int, md_table, random_valid_order, stable_seed
 from .shapes import sample_shaped_tree
@@ -63,7 +64,7 @@ def run(spark: SparkSession | None, *, n_driver: int | None = None, seed: int = 
         orders = [random_valid_order(tree, rng) for _ in range(k_sim)]
         sdata = None
         if spark is not None and qname in wall_queries:
-            sdata = {n: spark.createDataFrame(df) for n, df in pdata.items()}
+            sdata = to_spark(spark, pdata)
         for strat in STRATEGIES:
             probes = [
                 simulate(tree, pdata, strat, order=o, flat_output=False).counts.total(w)

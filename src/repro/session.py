@@ -1,5 +1,6 @@
 """The one SparkSession builder: ``jobs/run_all.py`` and the tests'
-``spark`` fixture both start their session here.
+``spark`` fixture both start their session here. :func:`to_spark` loads
+a query's pandas relations into it.
 
 Master, driver memory and shuffle partitions come from the environment
 (``SPARK_MASTER``, ``SPARK_DRIVER_MEM``, ``SPARK_SHUFFLE_PARTITIONS``).
@@ -10,6 +11,8 @@ lite scale.
 from __future__ import annotations
 
 import os
+
+import pandas as pd
 
 
 def get_spark(app: str = "repro-job"):
@@ -32,3 +35,15 @@ def get_spark(app: str = "repro-job"):
     )
     spark.sparkContext.setLogLevel("ERROR")
     return spark
+
+
+def to_spark(spark, pdata: dict[str, pd.DataFrame]) -> dict:
+    """Load each relation with an explicit schema. Every relation column is
+    an integer (pandas ``int64``, or nullable ``Int64`` for NULL keys), and
+    an empty frame gives Spark no rows to infer that from."""
+    from pyspark.sql.types import LongType, StructField, StructType
+
+    return {
+        n: spark.createDataFrame(pdf, schema=StructType([StructField(c, LongType()) for c in pdf.columns]))
+        for n, pdf in pdata.items()
+    }

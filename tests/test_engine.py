@@ -4,7 +4,6 @@ import random
 
 import pandas as pd
 import pytest
-from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.ce_lite import load_dataset, random_query
 from repro.ce_lite.queries import output_count_duckdb
@@ -15,6 +14,7 @@ from repro.core.jointree import EdgeStats
 from repro.core.simulator import simulate
 from repro.engine import run_strategy
 from repro.oracle import assert_equivalent
+from repro.session import to_spark
 
 STRATS = list(cm.STRATEGIES)
 N_DRIVER = 300
@@ -43,8 +43,7 @@ def oracle_sql(tree) -> str:
 def ex(spark):
     tree = example_tree()
     pdata = gen_tree_data(tree, N_DRIVER, seed=42)
-    sdata = {n: spark.createDataFrame(pdf) for n, pdf in pdata.items()}
-    return tree, sdata, pdata
+    return tree, to_spark(spark, pdata), pdata
 
 
 class TestOracleCorrectness:
@@ -76,22 +75,23 @@ class TestOracleCorrectness:
         tree, sdata, pdata = ex
         a = run_strategy(spark, tree, sdata, strategy, measure=True, flat_output=flat)
         b = run_strategy(spark, tree, sdata, strategy, measure=False, flat_output=flat)
-        assert a.out_rows == b.out_rows
-        # Timing mode counts the factorized size only when it is the output.
-        assert b.factorized_rows == (None if flat else a.factorized_rows)
+        assert (a.out_rows, a.factorized_rows) == (b.out_rows, b.factorized_rows)
         # Timing mode observes nothing, so it reports no counts.
         assert b.counts == cm.CostBreakdown()
 
 
 def assert_same_counts(spark, tree, sdata, pdata, strategy, order=None):
-    """Every counter, the output size and the factorized size of the engine
-    equal the simulator's, with flat and with factorized output."""
+    """Every counter and the output size of the engine equal the simulator's,
+    with flat and with factorized output; with factorized output, so does
+    the factorized size (a flat run does not count it)."""
     for flat in (True, False):
         eng = run_strategy(spark, tree, sdata, strategy, order, flat_output=flat)
         sim = simulate(tree, pdata, strategy, order, flat_output=flat)
         assert eng.order == sim.order
         assert eng.counts == sim.counts, f"flat_output={flat}"
-        assert (eng.out_rows, eng.factorized_rows) == (sim.out_rows, sim.factorized_rows)
+        assert eng.out_rows == sim.out_rows
+        if not flat:
+            assert eng.factorized_rows == sim.factorized_rows
 
 
 class TestSimulatorEquivalence:
@@ -119,15 +119,7 @@ class TestSimulatorEquivalence:
     def test_shapes_match_simulator(self, spark, shape, mk, strategy):
         tree = mk()
         pdata = gen_tree_data(tree, 200, seed=5)
-        sdata = {n: spark.createDataFrame(pdf) for n, pdf in pdata.items()}
-        assert_same_counts(spark, tree, sdata, pdata, strategy)
-
-
-def to_spark(spark, pdf):
-    """All test columns are int64; an empty frame gives Spark no rows to
-    infer that from, so the schema is explicit."""
-    schema = StructType([StructField(c, LongType()) for c in pdf.columns])
-    return spark.createDataFrame(pdf, schema=schema)
+        assert_same_counts(spark, tree, to_spark(spark, pdata), pdata, strategy)
 
 
 def dfs_order(tree):
@@ -172,7 +164,7 @@ EDGE_CASES = {
 @pytest.fixture(scope="module", params=list(EDGE_CASES))
 def edge_case(request, spark):
     tree, pdata = EDGE_CASES[request.param]()
-    return tree, {n: to_spark(spark, pdf) for n, pdf in pdata.items()}, pdata
+    return tree, to_spark(spark, pdata), pdata
 
 
 class TestEdgeCaseDifferential:
@@ -197,6 +189,32 @@ class TestEdgeCaseDifferential:
         assert_same_counts(spark, tree, sdata, pdata, strategy, order)
         timed = run_strategy(spark, tree, sdata, strategy, order, measure=False)
         assert timed.out_rows == output_count_duckdb(tree, pdata)
+
+
+class TestNullJoinKeys:
+    """A NULL join key matches nothing, also under bitvectors (exact and
+    bloom) and semi-joins. The simulator is left out: pandas matches NaN
+    to NaN."""
+
+    @pytest.fixture(scope="class")
+    def nulls(self, spark):
+        tree = example_tree()
+        pdata = gen_tree_data(tree, N_DRIVER, seed=42)
+        for c in tree.nonroot:
+            for n, col in zip((tree.parent[c], c), tree.join_cols[c]):
+                pdata[n][col] = pdata[n][col].astype("Int64").mask(pdata[n].index % 25 == 0)
+        return tree, to_spark(spark, pdata), pdata
+
+    @pytest.mark.parametrize(
+        "strategy,bv_mode", [(s, "exact") for s in STRATS] + [("BVP+STD", "bloom"), ("BVP+COM", "bloom")]
+    )
+    def test_flat_result_matches_duckdb(self, spark, nulls, strategy, bv_mode):
+        tree, sdata, pdata = nulls
+        res = run_strategy(
+            spark, tree, sdata, strategy, measure=False, bv_mode=bv_mode, bloom_bits=1 << 8, bloom_k=1,
+            keep_result=True,
+        )
+        assert_equivalent(res.result, oracle_sql(tree), **pdata)
 
 
 class TestStrategySemantics:

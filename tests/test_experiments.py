@@ -129,6 +129,14 @@ class TestSparkExperimentsSmoke:
         for s in STRATEGIES:
             assert f"rel_{s}" in r and f"model_rel_{s}" in r
 
+    def test_t4_empty_relations(self, spark):
+        # At driver 20 and m ≤ 0.1, m·|parent| rounds to 0 and relations
+        # are empty; Spark cannot infer their schema.
+        from repro.experiments import t4_synthetic
+
+        rows, _ = t4_synthetic.run(spark, n_driver=20, shapes=["snow32"], m_ranges=[(0.05, 0.1)], seed=0)
+        assert len(rows) == 1 and rows[0]["out_rows"] == 0
+
     def test_t5_single_query(self, spark):
         from repro.experiments import t5_ce
 
