@@ -1,5 +1,6 @@
 import os
 import sys
+import uuid
 
 
 def _driver_mem() -> str:
@@ -61,3 +62,25 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture
+def spark_jobs(spark):
+    """``spark_jobs(fn)`` runs ``fn()`` in a job group of its own and
+    returns ``(fn's result, ids of the Spark jobs it ran)``. It waits for
+    the listener bus to drain first, so the status tracker has seen every
+    job the call started, also those started from other threads that
+    inherited the group."""
+    sc = spark.sparkContext
+
+    def run(fn):
+        group = f"spark-jobs-{uuid.uuid4().hex}"
+        sc.setJobGroup(group, group)
+        try:
+            out = fn()
+        finally:
+            sc._jsc.clearJobGroup()
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        return out, list(sc.statusTracker().getJobIdsForGroup(group))
+
+    return run

@@ -15,6 +15,9 @@ the frames after the run.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
+from pyspark import inheritable_thread_target
 from pyspark.sql import DataFrame
 
 from repro.bloom import build_bitvector
@@ -35,7 +38,12 @@ def ckpt(df: DataFrame) -> DataFrame:
 
 class Gater:
     """Bitvector bank for BVP: one filter per non-root node, built from
-    the unfiltered base child relation (one-step lookahead, §3.5)."""
+    the unfiltered base child relation (one-step lookahead, §3.5).
+
+    The builds are independent Spark jobs, so they run concurrently, one
+    thread per filter. Each thread takes the caller's local properties
+    (``inheritable_thread_target``), so its jobs stay in the caller's job
+    group."""
 
     def __init__(
         self,
@@ -45,10 +53,18 @@ class Gater:
         **bv_kw,
     ):
         self.tree = tree
-        self.bvs = {
-            c: build_bitvector(data[c], tree.join_cols[c][1], mode, **bv_kw)
-            for c in tree.nonroot
-        }
+        nonroot = tree.nonroot
+        spark = data[tree.root].sparkSession
+
+        def build(c: str):
+            return build_bitvector(data[c], tree.join_cols[c][1], mode, **bv_kw)
+
+        # One wrap per task: each copies the caller's local properties, so
+        # no two threads share the mutable copy Spark writes its SQL
+        # execution ids into.
+        with ThreadPoolExecutor(max_workers=max(1, len(nonroot))) as pool:
+            futures = {c: pool.submit(inheritable_thread_target(spark)(build), c) for c in nonroot}
+            self.bvs = {c: f.result() for c, f in futures.items()}
 
     def gate_children(self, df: DataFrame, a: str, order_pos: dict[str, int], counted: Counted) -> DataFrame:
         """Apply the bitvectors of ``a``'s children to ``df`` in join-order

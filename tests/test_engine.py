@@ -293,3 +293,14 @@ class TestBloomSubstrate:
         tree, sdata, _ = ex
         with pytest.raises(ValueError):
             build_bitvector(sdata["R2"], tree.join_cols["R2"][1], "vibes")
+
+    def test_gater_builds_run_in_the_callers_job_group(self, spark, ex, spark_jobs):
+        # The filters are built on worker threads; each exact build is a
+        # distinct and a checkpoint, two jobs, and all of them must land in
+        # the caller's job group, which the benchmark and job budgets count.
+        from repro.engine.common import Gater
+
+        tree, sdata, _ = ex
+        gater, jobs = spark_jobs(lambda: Gater(tree, sdata, "exact"))
+        assert sorted(gater.bvs) == sorted(tree.nonroot)
+        assert len(jobs) == 2 * len(tree.nonroot)
