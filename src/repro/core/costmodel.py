@@ -1,13 +1,20 @@
 """Probe-count cost model for left-deep plans over many-to-many joins (§3).
 
-Implements the paper's estimators for the six execution strategies:
+The six execution strategies are built from two parts, as in the engine:
+a representation and a reducer.
 
-- ``std_costs``  — standard pipelined execution (STD), optionally with
-  bitvector early pruning (BVP+STD, §3.5);
-- ``com_costs``  — factorized execution avoiding redundant probes (COM,
-  Eq. 1 / §3.3), optionally with bitvectors (BVP+COM, §3.5);
-- ``sj_costs``   — two-phase semi-join full reduction (SJ+STD / SJ+COM,
-  §3.6, Thm 3.4).
+- Representation: STD (§2.1, per-step probes :func:`std_probes_fn`) or COM
+  (Eq. 1, §3.3, per-step probes :func:`com_probes_fn`). ``std_costs`` and
+  ``com_costs`` run one shared cost loop over the join order with the
+  representation's probe function; with ``bvp=True`` the loop adds
+  bitvector early pruning (BVP+STD / BVP+COM, §3.5).
+- Reducer for SJ+STD / SJ+COM (§3.6): ``sj_costs`` is the phase-1
+  semi-join probes plus ``std_costs``/``com_costs`` over the reduced tree,
+  whose edges have m' = 1 and the adjusted fo' (Thm 3.4).
+
+:func:`plan_costs` is the entry point; :func:`default_order` is the order a
+strategy runs in when none is given. The optimizer's Algorithm 1 adds up
+the same per-step probe functions.
 
 Probe semantics
 ---------------
@@ -31,7 +38,7 @@ and replaced by the true factors ``m_c · fo_c`` (COM: by branch survival).
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .jointree import EdgeStats, JoinTree
@@ -97,7 +104,8 @@ class ExecResult:
 
 
 # --------------------------------------------------------------------------
-# Survival probabilities (m_T) and spine sizes — the COM core (§3.3, §3.5)
+# Per-step hash probes: branch survival m_T and spines for COM (§3.3,
+# §3.5), the flat stream for STD (§2.1)
 # --------------------------------------------------------------------------
 
 ProbesFn = Callable[[str, frozenset], float]
@@ -236,14 +244,33 @@ def com_hash_probes_into(
     return com_probes_fn(tree, n_driver, bvp=bvp, eps=eps)(l, processed)
 
 
+def std_probes_fn(tree: JoinTree, n_driver: float, *, bvp: bool = False, eps: float = 0.0) -> ProbesFn:
+    """Expected hash probes into operator ``⋈ R_l`` under STD (§2.1), as a
+    function of ``l`` and the set S of operators joined before it:
+    ``N · Π_{j∈S} s_j``, times under BVP ``min(1, m_c + eps)`` for every
+    pending gate, i.e. every unjoined child c of a materialized node (l's
+    own gate included).
+
+    The factors are multiplied in tree-node order, never in the iteration
+    order of S, so the value is the same in every process.
+    """
+    steps = [(c, tree.parent[c], tree.stats[c].s, min(1.0, tree.stats[c].m + eps)) for c in tree.nonroot]
+
+    def fn(l: str, processed: set[str] | frozenset[str]) -> float:
+        val = n_driver
+        for c, p, s, gate in steps:
+            if c in processed:
+                val *= s
+            elif bvp and (p == tree.root or p in processed):
+                val *= gate
+        return val
+
+    return fn
+
+
 # --------------------------------------------------------------------------
 # Full-plan estimators
 # --------------------------------------------------------------------------
-
-
-def _check_order(tree: JoinTree, order: list[str]) -> None:
-    if not tree.is_valid_order(order):
-        raise ValueError(f"invalid left-deep order {order} for tree rooted at {tree.root}")
 
 
 def _bv_probes_at(
@@ -270,6 +297,42 @@ def expected_output(tree: JoinTree, n_driver: float | None = None) -> float:
     return n
 
 
+def _step_costs(
+    tree: JoinTree,
+    order: list[str],
+    n_driver: float,
+    probes: ProbesFn,
+    *,
+    bvp: bool,
+    eps: float,
+) -> CostBreakdown:
+    """The cost loop that STD and COM share; ``probes`` is the per-step
+    hash-probe function of the representation."""
+    if not tree.is_valid_order(order):
+        raise ValueError(f"invalid left-deep order {order} for tree rooted at {tree.root}")
+    cb = CostBreakdown()
+    order_pos = {c: i for i, c in enumerate(order)}
+    processed: set[str] = set()
+    if bvp:
+        # Driver materializes first: gate all its children on the raw scan.
+        _bv_probes_at(tree, tree.root, n_driver, order_pos, cb.bv_probes, eps)
+    for l in order:
+        st = tree.stats[l]
+        hp = probes(l, processed)
+        cb.hash_probes[l] = hp
+        # Fresh tuples produced by this join (STD: the stream after it;
+        # COM: the new spine rows). An m = 0 edge produces none, and its
+        # gate m + eps may be 0.
+        pre_gate = hp / min(1.0, st.m + eps) if bvp and st.m > 0 else hp
+        fresh = pre_gate * st.m * st.fo
+        cb.tuples_generated += fresh
+        processed.add(l)
+        if bvp and tree.children(l):
+            # l materialized: gate its children on the fresh tuples.
+            _bv_probes_at(tree, l, fresh, order_pos, cb.bv_probes, eps)
+    return cb
+
+
 def com_costs(
     tree: JoinTree,
     order: list[str],
@@ -280,27 +343,8 @@ def com_costs(
     flat_output: bool = True,
 ) -> CostBreakdown:
     """Cost of a COM (factorized) plan, optionally with bitvectors."""
-    _check_order(tree, order)
-    cb = CostBreakdown()
-    order_pos = {c: i for i, c in enumerate(order)}
-    processed: set[str] = set()
     probes = com_probes_fn(tree, n_driver, bvp=bvp, eps=eps)
-    if bvp:
-        # Driver materializes first: gate all its children on the raw scan.
-        _bv_probes_at(tree, tree.root, n_driver, order_pos, cb.bv_probes, eps)
-    for l in order:
-        st = tree.stats[l]
-        hp = probes(l, processed)
-        cb.hash_probes[l] = hp
-        # Fresh spine rows produced by this join (match tuples generated).
-        # An m = 0 edge produces none, and its gate m + eps may be 0.
-        pre_gate = hp / min(1.0, st.m + eps) if bvp and st.m > 0 else hp
-        fresh = pre_gate * st.m * st.fo
-        cb.tuples_generated += fresh
-        processed.add(l)
-        if bvp and tree.children(l):
-            # l materialized: gate its children on the fresh spine.
-            _bv_probes_at(tree, l, fresh, order_pos, cb.bv_probes, eps)
+    cb = _step_costs(tree, order, n_driver, probes, bvp=bvp, eps=eps)
     if flat_output:
         cb.expansion_tuples = expected_output(tree, n_driver)
     return cb
@@ -314,37 +358,9 @@ def std_costs(
     bvp: bool = False,
     eps: float = 0.0,
 ) -> CostBreakdown:
-    """Cost of a standard (flat-intermediate) plan, optionally with BVP.
-
-    Stream size before operator l = N · Π_{joined j} m_j·fo_j · Π_{pending
-    gates} (m+eps); the classical §2.1 formula when ``bvp`` is off.
-    """
-    _check_order(tree, order)
-    cb = CostBreakdown()
-    order_pos = {c: i for i, c in enumerate(order)}
-    processed: set[str] = set()
-    stream = n_driver
-    if bvp:
-        _bv_probes_at(tree, tree.root, stream, order_pos, cb.bv_probes, eps)
-        for c in tree.children(tree.root):
-            stream *= min(1.0, tree.stats[c].m + eps)
-    for l in order:
-        st = tree.stats[l]
-        cb.hash_probes[l] = stream
-        if bvp:
-            # Consume l's gate: of the (m+eps) passers, the m fraction are
-            # true matches producing fo each (none when m = 0, whose gate
-            # may be 0).
-            stream = stream / min(1.0, st.m + eps) * st.m * st.fo if st.m > 0 else 0.0
-        else:
-            stream *= st.m * st.fo
-        cb.tuples_generated += stream
-        processed.add(l)
-        if bvp and tree.children(l):
-            _bv_probes_at(tree, l, stream, order_pos, cb.bv_probes, eps)
-            for c in tree.children(l):
-                stream *= min(1.0, tree.stats[c].m + eps)
-    return cb
+    """Cost of a standard (flat-intermediate) plan, optionally with BVP."""
+    probes = std_probes_fn(tree, n_driver, bvp=bvp, eps=eps)
+    return _step_costs(tree, order, n_driver, probes, bvp=bvp, eps=eps)
 
 
 # --------------------------------------------------------------------------
@@ -415,37 +431,27 @@ def sj_costs(
     *,
     com: bool,
     flat_output: bool = True,
-    semi_orders: dict[str, list[str]] | None = None,
 ) -> CostBreakdown:
     """Cost of the two-phase full-reduction plan (SJ+STD or SJ+COM).
 
-    Phase 2 runs a left-deep plan from the fully reduced driver: all match
-    probabilities are 1 and fanouts are the adjusted fo' (Thm 3.4). For
-    SJ+COM the probe total is order-independent (Thm 3.5). ``order=None``
-    uses the §3.6 optimal phase-2 order.
+    Phase 1's semi-join probes, plus phase 2 costed as a plain STD or COM
+    plan over the reduced tree: every match probability is 1, the fanouts
+    are the adjusted fo', and the driver is reduced to ``N · ratio[root]``
+    (Thm 3.4). For SJ+COM the probe total is order-independent (Thm 3.5).
+    ``order=None`` uses the §3.6 optimal phase-2 order.
     """
     ratio, adj = sj_adjusted(tree)
-    cb = CostBreakdown()
-    cb.sj_probes = sj_phase1_probes(tree, semi_orders)
+    reduced = replace(tree, stats={c: EdgeStats(1.0, adj[c].fo) for c in tree.nonroot})
     n_red = n_driver * ratio[tree.root]
     if order is None:
-        order = sj_optimal_phase2_order(tree, com=com)
-    _check_order(tree, order)
+        order = default_order(tree, "SJ+COM" if com else "SJ+STD")
     if com:
-        pathprod: dict[str, float] = {tree.root: 1.0}
-        for n in tree.bfs_order()[1:]:
-            pathprod[n] = pathprod[tree.parent[n]] * adj[n].fo
-        for l in order:
-            cb.hash_probes[l] = n_red * pathprod[tree.parent[l]]
-            cb.tuples_generated += n_red * pathprod[l]
+        cb = com_costs(reduced, order, n_red, flat_output=False)
         if flat_output:
             cb.expansion_tuples = expected_output(tree, n_driver)
     else:
-        stream = n_red
-        for l in order:
-            cb.hash_probes[l] = stream
-            stream *= adj[l].fo
-            cb.tuples_generated += stream
+        cb = std_costs(reduced, order, n_red)
+    cb.sj_probes = sj_phase1_probes(tree)
     return cb
 
 
@@ -476,6 +482,14 @@ def sj_optimal_phase2_order(tree: JoinTree, *, com: bool) -> list[str]:
 # --------------------------------------------------------------------------
 
 
+def default_order(tree: JoinTree, strategy: str) -> list[str]:
+    """The order ``strategy`` runs in when none is given: BFS, or for SJ
+    the §3.6 optimal phase-2 order."""
+    if strategy.startswith("SJ"):
+        return sj_optimal_phase2_order(tree, com=strategy.endswith("COM"))
+    return tree.default_order()
+
+
 def plan_costs(
     tree: JoinTree,
     strategy: str,
@@ -488,16 +502,15 @@ def plan_costs(
     """Estimate the cost breakdown of (strategy, order).
 
     ``strategy`` is one of :data:`STRATEGIES`; ``n_driver`` defaults to
-    ``tree.size[root]``; ``order=None`` uses the BFS default (SJ: the
-    optimal phase-2 order).
+    ``tree.size[root]``; ``order=None`` uses :func:`default_order`.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     n = float(tree.size[tree.root]) if n_driver is None else float(n_driver)
+    if order is None:
+        order = default_order(tree, strategy)
     if strategy.startswith("SJ"):
         return sj_costs(tree, order, n, com=strategy.endswith("COM"), flat_output=flat_output)
-    if order is None:
-        order = tree.default_order()
     bvp = strategy.startswith("BVP")
     if strategy.endswith("COM"):
         return com_costs(tree, order, n, bvp=bvp, eps=eps, flat_output=flat_output)

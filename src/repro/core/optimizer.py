@@ -11,8 +11,9 @@
   ``"survival"`` (min driver survival probability of the prefix).
 - :func:`brute_force_optimal` — all valid permutations; test oracle.
 - :func:`com_probes_fn` / :func:`std_probes_fn` — the per-step probe
-  costs the DP adds up. ``com_probes_fn`` is the cost model's one
-  memoised Eq. 1 (re-exported from :mod:`.costmodel`).
+  costs the DP adds up: the cost model's memoised Eq. 1 and its STD stream
+  formula, re-exported from :mod:`.costmodel`, whose cost loop steps
+  through the same functions.
 - :func:`optimize` / :func:`optimize_all_drivers` — convenience entry
   points returning (cost, order) per strategy, optionally trying every
   relation as the driver via :meth:`JoinTree.rerooted`.
@@ -25,26 +26,15 @@ from .costmodel import (
     ProbesFn,
     Weights,
     com_probes_fn,
+    default_order,
     expected_output,
     plan_costs,
-    sj_optimal_phase2_order,
     std_costs,
+    std_probes_fn,
 )
 from .jointree import JoinTree, StatsProvider
 
 HEURISTICS = ("rank", "tuples", "survival")
-
-
-def std_probes_fn(tree: JoinTree, n_driver: float) -> ProbesFn:
-    """Per-step probe cost under STD semantics (classical §2.1 formula)."""
-
-    def fn(l: str, processed: frozenset) -> float:
-        val = n_driver
-        for j in processed:
-            val *= tree.stats[j].s
-        return val
-
-    return fn
 
 
 def exhaustive_optimal(tree: JoinTree, probes_fn: ProbesFn) -> tuple[float, list[str]]:
@@ -147,12 +137,8 @@ def optimize(
     the §3.6 polynomial optimum is used regardless of ``method``.
     """
     n = float(tree.size[tree.root]) if n_driver is None else float(n_driver)
-    if strategy.startswith("SJ"):
-        order = sj_optimal_phase2_order(tree, com=strategy.endswith("COM"))
-        cb = plan_costs(tree, strategy, order, n, eps=eps, flat_output=flat_output)
-        return cb.total(weights), order, cb
-    if method == "default":
-        order = tree.default_order()
+    if strategy.startswith("SJ") or method == "default":
+        order = default_order(tree, strategy)
     elif method in HEURISTICS:
         order = greedy_order(tree, method, n)
     elif method == "optimal":
@@ -160,8 +146,8 @@ def optimize(
         if strategy.endswith("COM"):
             _, order = exhaustive_optimal(tree, com_probes_fn(tree, n, bvp=bvp, eps=eps))
         else:
-            # STD probes don't depend on bitvector placement order much;
-            # optimize with the STD formula, cost with the full model.
+            # STD and BVP+STD are both ordered by the plain STD formula
+            # and costed with the full model.
             _, order = exhaustive_optimal(tree, std_probes_fn(tree, n))
     else:
         raise ValueError(f"unknown method {method!r}")

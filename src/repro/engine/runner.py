@@ -33,12 +33,12 @@ from functools import reduce
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.costmodel import STRATEGIES, CostBreakdown, ExecResult, sj_optimal_phase2_order
+from repro.core.costmodel import STRATEGIES, CostBreakdown, ExecResult, default_order
 from repro.core.jointree import JoinTree
 
+from . import sj
 from .com import run_com
 from .common import Counted, Gater
-from .sj import run_sj
 from .std import run_std
 
 
@@ -87,6 +87,8 @@ def run_strategy(
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    if order is None:
+        order = default_order(tree, strategy)
     counted: Counted = []
     t0 = time.perf_counter()
 
@@ -94,21 +96,16 @@ def run_strategy(
     if strategy.startswith("BVP"):
         kw = {"n_bits": bloom_bits, "k": bloom_k} if bv_mode == "bloom" else {}
         gater = Gater(tree, data, bv_mode, **kw)
+    elif strategy.startswith("SJ"):
+        # Looked up at call time, so a wrapper installed on the module
+        # attribute sees the call.
+        data = sj.run_sj_phase1(tree, data, counted)
 
-    result: DataFrame | None = None
     fact_rows: int | None = None
-    if strategy.startswith("SJ"):
-        com = strategy.endswith("COM")
-        if order is None:
-            order = sj_optimal_phase2_order(tree, com=com)
-        result, fact_rows = run_sj(tree, data, order, counted, com=com, flat_output=flat_output)
+    if strategy.endswith("COM"):
+        result, fact_rows = run_com(tree, data, order, gater, counted, flat_output)
     else:
-        if order is None:
-            order = tree.default_order()
-        if strategy.endswith("COM"):
-            result, fact_rows = run_com(tree, data, order, gater, counted, flat_output)
-        else:
-            result = run_std(tree, data, order, gater, counted)
+        result = run_std(tree, data, order, gater, counted)
 
     out_rows = None if result is None else result.count()
     wall = time.perf_counter() - t0

@@ -3,8 +3,9 @@
 Phase 1 cascades bottom-up ``left_semi`` joins: each internal node is
 reduced against its already-reduced children (children visited in
 increasing adjusted match probability m', the §3.6 optimal order),
-finishing with the fully reduced driver. Phase 2 is a plain STD or COM
-pipeline over the reduced relations — every phase-2 probe finds a match.
+finishing with the fully reduced driver. Phase 2 is the runner's plain STD
+or COM pipeline over the reduced relations, without bitvectors — every
+phase-2 probe finds a match.
 """
 from __future__ import annotations
 
@@ -34,20 +35,3 @@ def run_sj_phase1(tree: JoinTree, data: dict[str, DataFrame], counted: Counted) 
         reduced[p] = ckpt(df)
     return reduced
 
-
-def run_sj(
-    tree: JoinTree,
-    data: dict[str, DataFrame],
-    order: list[str],
-    counted: Counted,
-    *,
-    com: bool,
-    flat_output: bool,
-) -> tuple[DataFrame | None, int | None]:
-    from .com import run_com
-    from .std import run_std
-
-    reduced = run_sj_phase1(tree, data, counted)
-    if com:
-        return run_com(tree, reduced, order, None, counted, flat_output)
-    return run_std(tree, reduced, order, None, counted), None

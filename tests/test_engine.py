@@ -1,6 +1,9 @@
 """Spark engine: result correctness (DuckDB oracle), probe-count equality
 with the reference simulator, and strategy semantics."""
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pandas as pd
 import pytest
@@ -304,3 +307,40 @@ class TestBloomSubstrate:
         gater, jobs = spark_jobs(lambda: Gater(tree, sdata, "exact"))
         assert sorted(gater.bvs) == sorted(tree.nonroot)
         assert len(jobs) == 2 * len(tree.nonroot)
+
+
+def load_perfbench_tracing(monkeypatch):
+    """perfbench's tracer module, loaded from its file as it is."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    mod = importlib.util.module_from_spec(spec)
+    # dataclasses look the module up by name while the class is built.
+    monkeypatch.setitem(sys.modules, spec.name, mod)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+class TestBenchmarkTracing:
+    """The benchmark's tracer wraps engine entry points by module attribute
+    and silently skips one that no longer exists, so a moved entry point
+    would drop its layer from the benchmark's per-layer metrics."""
+
+    LAYERS = {
+        "STD": {"std"},
+        "COM": {"com"},
+        "BVP+STD": {"bitvector", "std"},
+        "BVP+COM": {"bitvector", "com"},
+        "SJ+STD": {"sj_phase1", "std"},
+        "SJ+COM": {"sj_phase1", "com"},
+    }
+
+    def test_every_strategy_reports_its_layers(self, spark, monkeypatch):
+        tree, pdata = snow21(200)
+        sdata = to_spark(spark, pdata)
+        tracer = load_perfbench_tracing(monkeypatch).Tracer(active=True)
+        got = {}
+        with tracer.patched():
+            for strategy in STRATS:
+                run_strategy(spark, tree, sdata, strategy, measure=False)
+                got[strategy] = {sp.layer for sp in tracer.take()}
+        assert got == self.LAYERS

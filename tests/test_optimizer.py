@@ -1,5 +1,8 @@
 """Optimization algorithms: Algorithm 1, heuristics, theorem checks."""
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -54,6 +57,26 @@ class TestExhaustiveDP:
         dp_cost, _ = opt.exhaustive_optimal(t, fn)
         bf_cost, _ = opt.brute_force_optimal(t, fn)
         assert dp_cost == pytest.approx(bf_cost)
+
+    def test_std_step_same_in_every_process(self):
+        # str hashes, and with them the iteration order of a frozenset of
+        # node names, differ per process; the STD step must not.
+        code = (
+            "import random\n"
+            "from repro.core import jointree as jt, optimizer as opt\n"
+            "t = jt.random_tree(random.Random(4), max_nodes=12)\n"
+            "order = t.default_order()\n"
+            "print(repr(opt.std_probes_fn(t, 1000.0)(order[-1], frozenset(order[:-1]))))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", code], env={**env, "PYTHONHASHSEED": hs},
+                capture_output=True, text=True, check=True, timeout=120,
+            ).stdout
+            for hs in ("1", "2")
+        ]
+        assert outs[0] == outs[1] and outs[0].strip()
 
     def test_single_join_tree(self):
         t = JoinTree("R1", {"R2": "R1"}, {"R2": EdgeStats(0.5, 2.0)})

@@ -1,4 +1,5 @@
 """Property-based invariants of the cost model (hypothesis)."""
+import math
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import costmodel as cm
 from repro.core import jointree as jt
 from repro.core import optimizer as opt
-from repro.core.jointree import EdgeStats
+from repro.core.jointree import EdgeStats, JoinTree
 
 
 @st.composite
@@ -20,6 +21,18 @@ def trees(draw, max_nodes=8):
         m_range=(draw(st.floats(0.01, 0.3)), draw(st.floats(0.4, 1.0))),
         fo_range=(1.0, draw(st.floats(1.0, 10.0))),
     )
+
+
+@st.composite
+def sized_trees(draw, max_nodes=8):
+    """Random trees with relation sizes for SJ costing, some of whose
+    edges have m = 0."""
+    t = draw(trees(max_nodes))
+    dead = draw(st.sets(st.sampled_from(t.nonroot)))
+    stats = {c: EdgeStats(0.0, s.fo) if c in dead else s for c, s in t.stats.items()}
+    out = JoinTree(t.root, t.parent, stats)
+    out.size.update({n: draw(st.floats(1.0, 1e4)) for n in t.nodes})
+    return out
 
 
 N = 500.0
@@ -140,3 +153,29 @@ class TestBvpInvariants:
         a = cm.com_costs(t, order, N, flat_output=False)
         b = cm.com_costs(t, order, N, bvp=True, eps=0.0, flat_output=False)
         assert b.total_hash_probes <= a.total_hash_probes + 1e-9
+
+
+class TestPlanCostsInvariants:
+    @given(sized_trees(), st.sampled_from([0.0, 0.05]), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_every_field_finite_and_nonnegative(self, t, eps, flat):
+        for s in cm.STRATEGIES:
+            cb = cm.plan_costs(t, s, eps=eps, flat_output=flat)
+            vals = [
+                *cb.hash_probes.values(), *cb.bv_probes.values(), *cb.sj_probes.values(),
+                cb.tuples_generated, cb.expansion_tuples,
+            ]
+            assert all(math.isfinite(v) and v >= 0.0 for v in vals), (s, cb)
+
+    @given(sized_trees())
+    @settings(max_examples=25, deadline=None)
+    def test_sj_com_order_independent(self, t):
+        # Thm 3.5: after full reduction every spine row survives, so
+        # SJ+COM's probes into each operator, and the tuples it generates,
+        # do not depend on the join order.
+        n = t.size[t.root]
+        want = cm.sj_costs(t, None, n, com=True, flat_output=False)
+        for order in t.valid_orders():
+            cb = cm.sj_costs(t, order, n, com=True, flat_output=False)
+            assert cb.hash_probes == pytest.approx(want.hash_probes, rel=1e-12, abs=1e-12)
+            assert cb.tuples_generated == pytest.approx(want.tuples_generated, rel=1e-12, abs=1e-12)
