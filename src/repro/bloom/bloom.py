@@ -3,7 +3,7 @@
 Two implementations with one interface (``filter(df, col)``):
 
 - :class:`ExactBitvector` — the exact distinct key set of the build
-  column, applied as a Catalyst ``left_semi`` join (false-positive rate 0;
+  column, applied as a broadcast ``left_semi`` join (false-positive rate 0;
   the engine's default so probe counts are deterministic and comparable
   with the ε=0 cost model);
 - :class:`SparkBloomFilter` — a real Bloom filter with k seeded
@@ -33,7 +33,7 @@ class ExactBitvector:
         self.fpr = 0.0
 
     def filter(self, df: DataFrame, col: str) -> DataFrame:
-        return df.join(self.keys, on=F.col(col) == F.col("__bv_key"), how="left_semi")
+        return df.join(F.broadcast(self.keys), on=F.col(col) == F.col("__bv_key"), how="left_semi")
 
 
 class SparkBloomFilter:

@@ -19,9 +19,13 @@ results*, TODS 2015):
   the pointers; a row whose ancestor died finds no partner.
 
 Every operation below is a Catalyst plan; ``localCheckpoint`` pins each
-spine where the paper's engine materializes its vectors.
+spine where the paper's engine materializes its vectors. Every join is a
+hash join that broadcasts its build side: R_l, the parent's live rows,
+or the child's spine.
 """
 from __future__ import annotations
+
+from functools import reduce
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -67,14 +71,14 @@ def run_com(
         if n == root:
             return spine[n]
         p = tree.parent[n]
-        return spine[n].join(live(p), on=F.col(ptr(n)) == F.col(rid(p)), how="left_semi")
+        return spine[n].join(F.broadcast(live(p)), on=F.col(ptr(n)) == F.col(rid(p)), how="left_semi")
 
     for l in order:
         p = tree.parent[l]
         probe = live(p)
         counted.append(("hash_probes", l, probe))
         pcol, ccol = tree.join_cols[l]
-        sp = probe.join(data[l], on=F.col(pcol) == F.col(ccol), how="inner")
+        sp = probe.join(F.broadcast(data[l]), on=F.col(pcol) == F.col(ccol), how="inner")
         sp = sp.select(*data[l].columns, F.col(rid(p)).alias(ptr(l)))
         counted.append(("tuples_generated", None, sp))
         if gater and tree.children(l):
@@ -84,17 +88,22 @@ def run_com(
         # child on the path to l keeps a row alive.
         child = l
         for a in tree.path_to_root(l)[1:]:
-            alive = spine[a].join(spine[child], on=F.col(rid(a)) == F.col(ptr(child)), how="left_semi")
+            alive = spine[a].join(
+                F.broadcast(spine[child]), on=F.col(rid(a)) == F.col(ptr(child)), how="left_semi"
+            )
             spine[a] = ckpt(alive)
             child = a
 
     if not flat_output:
-        return None, sum(live(n).count() for n in [root, *order])
+        # One action for all nodes; the live chains they share are one
+        # broadcast each, reused across the union's branches.
+        live_rows = [live(n).select(F.lit(1).alias("__live")) for n in [root, *order]]
+        return None, reduce(DataFrame.unionAll, live_rows).count()
 
     flat = spine[root]
     for c in tree.bfs_order()[1:]:
         p = tree.parent[c]
-        flat = flat.join(spine[c], on=F.col(rid(p)) == F.col(ptr(c)), how="inner")
+        flat = flat.join(F.broadcast(spine[c]), on=F.col(rid(p)) == F.col(ptr(c)), how="inner")
         counted.append(("expansion_tuples", None, flat))
     cols = [col for n in tree.bfs_order() for col in data[n].columns]
     return flat.select(*cols), None

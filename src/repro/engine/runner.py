@@ -12,18 +12,21 @@ Counting recomputes each unpinned join chain (an STD prefix, a phase-1
 semi-join chain, a COM expansion prefix), so a counted call takes longer
 than a timed one.
 
-Why after the clock and not inside the timed plan: the two ways of
-counting inside it both fall short.
+Why after the clock and not inside the timed plan:
 
-- Lazy ``observe()`` metrics count only the rows an operator actually
-  pulls, and a sort-merge join stops pulling from one side when the other
-  side runs out. On star7-5k (seed 11) STD's hash probes came out as
-  R3 6 125 and R4 8 004 against true values of 6 127 and 8 009.
+- Lazy ``observe()`` metrics count only the rows an operator pulls. Every
+  engine join is a broadcast hash join, whose probe side streams every
+  row, so an ``observe()`` on each hash-probe frame matched these counts
+  on both benchmark workloads (seeds 3 and 11, all six strategies, both
+  output modes). But where a relation is empty, Spark's empty-relation
+  rules drop the observed nodes, and their observations stay empty even
+  for frames with rows (an m = 0 edge, an empty driver). Such frames need
+  a count of their own; the other counted frames are not measured yet.
 - Checkpointing every counted frame makes them exact, but as the only
   path it made the benchmark's ``answer_s`` slower on a 4-vCPU host:
   star7-5k 6.6 → 10.8 s, snow21-5k 7.4 → 10.8 s. With the fewest
   checkpoints, star7-5k was still slower in 5 of 5 pairs of runs
-  (median 7.1 → 7.8 s).
+  (median 7.1 → 7.8 s). Those runs used sort-merge joins.
 """
 from __future__ import annotations
 

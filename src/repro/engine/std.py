@@ -1,8 +1,9 @@
 """STD / BVP+STD: standard left-deep pipelined execution (§4.1, §4.3).
 
 The flat intermediate result is folded through the join order as a chain
-of Catalyst inner joins; with BVP the driver scan and each join's output
-are additionally gated by the children's bitvectors (§4.4).
+of Catalyst inner joins, each a hash join that broadcasts R_l; with BVP
+the driver scan and each join's output are additionally gated by the
+children's bitvectors (§4.4).
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ def run_std(
     for l in order:
         counted.append(("hash_probes", l, df))
         pcol, ccol = tree.join_cols[l]
-        df = df.join(data[l], on=F.col(pcol) == F.col(ccol), how="inner")
+        df = df.join(F.broadcast(data[l]), on=F.col(pcol) == F.col(ccol), how="inner")
         counted.append(("tuples_generated", None, df))
         if gater and tree.children(l):
             df = gater.gate_children(df, l, order_pos, counted)

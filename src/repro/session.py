@@ -4,9 +4,10 @@ a query's pandas relations into it.
 
 Master, driver memory and shuffle partitions come from the environment
 (``SPARK_MASTER``, ``SPARK_DRIVER_MEM``, ``SPARK_SHUFFLE_PARTITIONS``).
-Shuffle partitions default to 8, the value the benchmark uses. Broadcast
-joins are disabled so the engine's joins exercise the shuffle path at
-lite scale.
+Shuffle partitions default to 8, the value the benchmark uses. The engine
+picks each join's type by hint (every join broadcasts its build side), so
+``autoBroadcastJoinThreshold`` stays off and Spark picks no join type on
+its own.
 """
 from __future__ import annotations
 

@@ -2,6 +2,7 @@
 with the reference simulator, and strategy semantics."""
 import importlib.util
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from repro.core.datagen import gen_tree_data
 from repro.core.jointree import EdgeStats
 from repro.core.simulator import simulate
 from repro.engine import run_strategy
+from repro.engine.com import run_com
 from repro.oracle import assert_equivalent
 from repro.session import to_spark
 
@@ -307,6 +309,57 @@ class TestBloomSubstrate:
         gater, jobs = spark_jobs(lambda: Gater(tree, sdata, "exact"))
         assert sorted(gater.bvs) == sorted(tree.nonroot)
         assert len(jobs) == 2 * len(tree.nonroot)
+
+
+JOIN_OPERATOR = re.compile(r"\b(\w+Join|CartesianProduct)\b")
+
+
+def join_operators_of(spark, fn) -> list[set[str]]:
+    """Run ``fn()`` and return, per SQL execution it started, the physical
+    join operators of its final (post-AQE) plan."""
+    store = spark._jsparkSession.sharedState().statusStore()
+    bus = spark.sparkContext._jsc.sc().listenerBus()
+
+    def last_executions(k):
+        bus.waitUntilEmpty()
+        n = store.executionsCount()
+        if n == 0:
+            return []
+        execs = store.executionsList(max(0, n - k), min(n, k))
+        return [execs.apply(i) for i in range(execs.size())]
+
+    before = max((e.executionId() for e in last_executions(1)), default=-1)
+    fn()
+    return [
+        set(JOIN_OPERATOR.findall(e.physicalPlanDescription()))
+        for e in last_executions(200)
+        if e.executionId() > before
+    ]
+
+
+class TestSparkPlans:
+    """The engine's joins are hash joins with the build side broadcast, as
+    the paper's operators build a table on R_l and probe it (§2.1, §4)."""
+
+    @pytest.mark.parametrize("flat", [True, False])
+    @pytest.mark.parametrize("strategy", STRATS)
+    def test_every_join_is_a_broadcast_hash_join(self, spark, ex, strategy, flat):
+        # Covers every execution of the run: bitvector checks, phase-1
+        # semi-joins, probes, COM's spine joins and expansion, terminal count.
+        tree, sdata, _ = ex
+        ops = join_operators_of(
+            spark, lambda: run_strategy(spark, tree, sdata, strategy, measure=False, flat_output=flat)
+        )
+        assert any(ops)
+        assert set().union(*ops) == {"BroadcastHashJoin"}
+
+    def test_factorized_count_is_one_action(self, ex, spark_jobs):
+        # Σ|live(n)| is counted in one action, not one per node.
+        tree, sdata, _ = ex
+        order = tree.bfs_order()[1:]
+        _, lazy = spark_jobs(lambda: run_com(tree, sdata, order, None, [], flat_output=True))
+        _, counted = spark_jobs(lambda: run_com(tree, sdata, order, None, [], flat_output=False))
+        assert len(counted) - len(lazy) < len(tree.bfs_order())
 
 
 def load_perfbench_tracing(monkeypatch):
