@@ -1,6 +1,5 @@
 import os
 import sys
-import uuid
 
 
 def _driver_mem() -> str:
@@ -42,7 +41,7 @@ os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
-from repro.session import get_spark  # noqa: E402
+from repro.session import counting_jobs, get_spark  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -66,21 +65,6 @@ def spark() -> SparkSession:
 
 @pytest.fixture
 def spark_jobs(spark):
-    """``spark_jobs(fn)`` runs ``fn()`` in a job group of its own and
-    returns ``(fn's result, ids of the Spark jobs it ran)``. It waits for
-    the listener bus to drain first, so the status tracker has seen every
-    job the call started, also those started from other threads that
-    inherited the group."""
-    sc = spark.sparkContext
-
-    def run(fn):
-        group = f"spark-jobs-{uuid.uuid4().hex}"
-        sc.setJobGroup(group, group)
-        try:
-            out = fn()
-        finally:
-            sc._jsc.clearJobGroup()
-        sc._jsc.sc().listenerBus().waitUntilEmpty()
-        return out, list(sc.statusTracker().getJobIdsForGroup(group))
-
-    return run
+    """``spark_jobs(fn)`` is :func:`repro.session.counting_jobs` on the
+    session: ``(fn's result, ids of the Spark jobs it ran)``."""
+    return lambda fn: counting_jobs(spark, fn)

@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Run the evaluation tables (T1–T8) and write results/tN.md files.
+"""Run the evaluation tables (T1–T9) and write results/tN.md files; T9 also
+writes its rows and fitted weights to BENCH_engine.json.
 
 Scale knobs via REPRO_* env vars (see repro/experiments/*). Usage:
 
@@ -17,8 +18,9 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 RESULTS = os.path.join(os.path.dirname(__file__), "..", "results")
-TABLES = ("t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8")
-NEEDS_SPARK = {"t1", "t4", "t5", "t7", "t8"}
+BENCH_ENGINE = os.path.join(os.path.dirname(__file__), "..", "BENCH_engine.json")
+TABLES = ("t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "t9")
+NEEDS_SPARK = {"t1", "t4", "t5", "t7", "t8", "t9"}
 
 
 def main(which=None) -> int:
@@ -41,6 +43,7 @@ def main(which=None) -> int:
         t6_simulation,
         t7_validation,
         t8_robustness_exec,
+        t9_spark_weights,
     )
 
     runners = {
@@ -52,6 +55,7 @@ def main(which=None) -> int:
         "t6": lambda: t6_simulation.run(),
         "t7": lambda: t7_validation.run(spark),
         "t8": lambda: t8_robustness_exec.run(spark),
+        "t9": lambda: t9_spark_weights.run(spark, bench_path=BENCH_ENGINE),
     }
     failed = []
     for name in which:

@@ -26,6 +26,12 @@ check. Bitvector and semi-join probes are cheaper (weight ½ by the paper's
 micro-benchmarks); generating one intermediate/output tuple costs 1/14 of a
 hash probe (§5.4). :class:`Weights` captures these.
 
+On Spark two costs that the paper's model has no term for decide much
+of the wall time: a fixed cost per Spark job (:func:`spark_jobs`) and the
+rows each broadcast's hash-table build reads (:func:`build_rows`, plus
+COM's spines). ``plan_costs`` fills both counts; the paper's weights price
+them at 0, and :data:`SPARK_WEIGHTS`, fitted on the engine (T9), do not.
+
 BVP model (one-step lookahead, matching §3.5's formulas): every non-root
 node ``c`` owns a bitvector built from the *unfiltered base* relation
 ``R_c``. When a node ``a`` materializes (the driver at pipeline start, any
@@ -48,12 +54,34 @@ STRATEGIES = ("STD", "COM", "BVP+STD", "BVP+COM", "SJ+STD", "SJ+COM")
 
 @dataclass(frozen=True)
 class Weights:
-    """Relative cost of the probe/generation primitives (§5.4)."""
+    """Relative cost of the probe/generation primitives, in hash probes.
+
+    The defaults are the paper's micro-benchmark constants (§5.4), measured
+    on its C++ engine, whose model charges neither hash-table builds nor
+    Spark jobs. :data:`SPARK_WEIGHTS` are fitted on the Spark engine.
+    """
 
     hash_probe: float = 1.0
     bv_probe: float = 0.5
     sj_probe: float = 0.5
     tuple_gen: float = 1.0 / 14.0
+    build_row: float = 0.0
+    spark_job: float = 0.0
+
+
+# The weights of the Spark engine (``repro.engine``): T9's fit
+# (``experiments/t9_spark_weights.py``) of the rows in BENCH_engine.json,
+# on ``local[2]``, 4 vCPUs: a hash probe is 0.54 µs there, a Spark job
+# 12.9 ms. Rerunning T9 rewrites that file; copy its weights here.
+# The planner ranks with these.
+SPARK_WEIGHTS = Weights(
+    hash_probe=1.0,
+    bv_probe=0.0,
+    sj_probe=4.316786129293201,
+    tuple_gen=0.0,
+    build_row=2.8618266106194485,
+    spark_job=23699.095018357657,
+)
 
 
 @dataclass
@@ -65,6 +93,8 @@ class CostBreakdown:
     sj_probes: dict[str, float] = field(default_factory=dict)
     tuples_generated: float = 0.0
     expansion_tuples: float = 0.0
+    build_rows: float = 0.0
+    spark_jobs: int = 0
 
     @property
     def total_hash_probes(self) -> float:
@@ -79,11 +109,15 @@ class CostBreakdown:
         return sum(self.sj_probes.values())
 
     def total(self, w: Weights = Weights()) -> float:
+        # Under the paper's weights the build and job terms are exactly 0,
+        # so its totals keep every bit.
         return (
             w.hash_probe * self.total_hash_probes
             + w.bv_probe * self.total_bv_probes
             + w.sj_probe * self.total_sj_probes
             + w.tuple_gen * (self.tuples_generated + self.expansion_tuples)
+            + w.build_row * self.build_rows
+            + w.spark_job * self.spark_jobs
         )
 
 
@@ -305,12 +339,14 @@ def _step_costs(
     *,
     bvp: bool,
     eps: float,
-) -> CostBreakdown:
+) -> tuple[CostBreakdown, dict[str, float]]:
     """The cost loop that STD and COM share; ``probes`` is the per-step
-    hash-probe function of the representation."""
+    hash-probe function of the representation. Also returns each node's
+    fresh tuples (the driver's: ``n_driver``)."""
     if not tree.is_valid_order(order):
         raise ValueError(f"invalid left-deep order {order} for tree rooted at {tree.root}")
     cb = CostBreakdown()
+    fresh_at = {tree.root: n_driver}
     order_pos = {c: i for i, c in enumerate(order)}
     processed: set[str] = set()
     if bvp:
@@ -326,11 +362,27 @@ def _step_costs(
         pre_gate = hp / min(1.0, st.m + eps) if bvp and st.m > 0 else hp
         fresh = pre_gate * st.m * st.fo
         cb.tuples_generated += fresh
+        fresh_at[l] = fresh
         processed.add(l)
         if bvp and tree.children(l):
             # l materialized: gate its children on the fresh tuples.
             _bv_probes_at(tree, l, fresh, order_pos, cb.bv_probes, eps)
-    return cb
+    return cb, fresh_at
+
+
+def _spine_build_rows(tree: JoinTree, order: list[str], spine: dict[str, float], flat_output: bool) -> float:
+    """Spine rows that COM's broadcasts build on (``repro.engine.com``):
+    per joined l, the live chain of its parent and the child spine of each
+    upward death; then the expansion's spines, or with factorized output
+    the live frame of each internal node. A spine's rows are counted as
+    built, before gates and deaths."""
+    rows = 0.0
+    for l in order:
+        rows += sum(spine[a] for a in tree.path_to_root(tree.parent[l])[1:])
+        rows += sum(spine[x] for x in tree.path_to_root(l)[:-1])
+    if flat_output:
+        return rows + sum(spine[c] for c in tree.nonroot)
+    return rows + sum(spine[a] for a in tree.nodes if tree.children(a))
 
 
 def com_costs(
@@ -344,7 +396,8 @@ def com_costs(
 ) -> CostBreakdown:
     """Cost of a COM (factorized) plan, optionally with bitvectors."""
     probes = com_probes_fn(tree, n_driver, bvp=bvp, eps=eps)
-    cb = _step_costs(tree, order, n_driver, probes, bvp=bvp, eps=eps)
+    cb, spine = _step_costs(tree, order, n_driver, probes, bvp=bvp, eps=eps)
+    cb.build_rows = _spine_build_rows(tree, order, spine, flat_output)
     if flat_output:
         cb.expansion_tuples = expected_output(tree, n_driver)
     return cb
@@ -360,7 +413,7 @@ def std_costs(
 ) -> CostBreakdown:
     """Cost of a standard (flat-intermediate) plan, optionally with BVP."""
     probes = std_probes_fn(tree, n_driver, bvp=bvp, eps=eps)
-    return _step_costs(tree, order, n_driver, probes, bvp=bvp, eps=eps)
+    return _step_costs(tree, order, n_driver, probes, bvp=bvp, eps=eps)[0]
 
 
 # --------------------------------------------------------------------------
@@ -446,7 +499,7 @@ def sj_costs(
     if order is None:
         order = default_order(tree, "SJ+COM" if com else "SJ+STD")
     if com:
-        cb = com_costs(reduced, order, n_red, flat_output=False)
+        cb = com_costs(reduced, order, n_red, flat_output=flat_output)
         if flat_output:
             cb.expansion_tuples = expected_output(tree, n_driver)
     else:
@@ -475,6 +528,75 @@ def sj_optimal_phase2_order(tree: JoinTree, *, com: bool) -> list[str]:
         order.append(nxt)
         processed.add(nxt)
     return order
+
+
+# --------------------------------------------------------------------------
+# Spark's fixed costs: hash-table builds and jobs
+# --------------------------------------------------------------------------
+
+
+def build_rows(tree: JoinTree, strategy: str, n_driver: float) -> float:
+    """Relation rows that the engine's hash-table builds read for one run
+    of ``strategy``: every broadcast builds a table on its build side, and
+    a bitvector reads its whole relation.
+
+    - each joined relation R_l once (STD and COM broadcast it; after SJ it
+      is the reduced relation);
+    - BVP: each R_c again, for its bitvector;
+    - SJ: each reduced child again, for its phase-1 key broadcast.
+
+    COM's broadcasts of its spines are counted by ``com_costs``, which
+    knows the spine sizes; :func:`plan_costs` adds the two. Relation sizes
+    come from ``tree.size``; a missing one is its expected size, the
+    parent's times m·fo.
+    """
+    size = {tree.root: n_driver}
+    for c in tree.bfs_order()[1:]:
+        size[c] = float(tree.size.get(c, size[tree.parent[c]] * tree.stats[c].s))
+    if strategy.startswith("SJ"):
+        ratio, _ = sj_adjusted(tree)
+        return 2.0 * sum(size[c] * ratio[c] for c in tree.nonroot)
+    rows = sum(size[c] for c in tree.nonroot)
+    return 2.0 * rows if strategy.startswith("BVP") else rows
+
+
+def spark_jobs(tree: JoinTree, strategy: str, flat_output: bool = True) -> int:
+    """Spark jobs that ``repro.engine.run_strategy`` schedules for one run of
+    ``strategy`` with exact bitvectors, read off the engine's plans.
+
+    Every engine join broadcasts its build side, and each broadcast is one
+    job; so is each eager checkpoint, and the terminal count is two (AQE
+    runs the aggregate's shuffle stage, then its result). With n₁ non-root
+    nodes, I internal nodes and d(x) the depth of x:
+
+    - STD: one broadcast per join, then the count: n₁ + 2;
+    - COM: the root's pin, and per joined node l the R_l broadcast, l's
+      pin, the d(parent(l)) broadcasts of the parent's ``live`` chain, and
+      a broadcast plus a checkpoint per ancestor for upward deaths:
+      1 + Σ_l (1 + 3·d(l)). Then with flat output the n₁ expansion
+      broadcasts and the count; with factorized output the one count over
+      the ``live`` frames, which share one broadcast per internal node:
+      I + 2;
+    - BVP adds 3·n₁: each bitvector's distinct and checkpoint, and the
+      broadcast of its gate;
+    - SJ adds phase 1's n₁ + I: a broadcast per semi-join and a checkpoint
+      per reduced internal node.
+
+    The count depends on depths only, never on the join order. It is exact
+    while every frame has rows; where one is empty, AQE drops the
+    broadcasts it no longer needs and the engine schedules fewer jobs.
+    """
+    n1 = len(tree.nonroot)
+    internal = sum(1 for n in tree.nodes if tree.children(n))
+    if strategy.endswith("COM"):
+        jobs = 1 + sum(1 + 3 * tree.depth(l) for l in tree.nonroot) + (n1 if flat_output else internal) + 2
+    else:
+        jobs = n1 + 2
+    if strategy.startswith("BVP"):
+        jobs += 3 * n1
+    elif strategy.startswith("SJ"):
+        jobs += n1 + internal
+    return jobs
 
 
 # --------------------------------------------------------------------------
@@ -509,9 +631,13 @@ def plan_costs(
     n = float(tree.size[tree.root]) if n_driver is None else float(n_driver)
     if order is None:
         order = default_order(tree, strategy)
-    if strategy.startswith("SJ"):
-        return sj_costs(tree, order, n, com=strategy.endswith("COM"), flat_output=flat_output)
     bvp = strategy.startswith("BVP")
-    if strategy.endswith("COM"):
-        return com_costs(tree, order, n, bvp=bvp, eps=eps, flat_output=flat_output)
-    return std_costs(tree, order, n, bvp=bvp, eps=eps)
+    if strategy.startswith("SJ"):
+        cb = sj_costs(tree, order, n, com=strategy.endswith("COM"), flat_output=flat_output)
+    elif strategy.endswith("COM"):
+        cb = com_costs(tree, order, n, bvp=bvp, eps=eps, flat_output=flat_output)
+    else:
+        cb = std_costs(tree, order, n, bvp=bvp, eps=eps)
+    cb.build_rows += build_rows(tree, strategy, n)
+    cb.spark_jobs = spark_jobs(tree, strategy, flat_output)
+    return cb

@@ -8,12 +8,19 @@ competing approaches"), and the Python-side equivalent of the Catalyst
 rule suggested by the reproduction brief (see DESIGN.md for why a JVM
 ``Rule[LogicalPlan]`` is out of scope offline): the chosen plan is *executed*
 entirely through Catalyst by the Spark engine in ``repro.engine``.
+
+Two weight sets price the model's counts. The planner ranks by
+:data:`~repro.core.costmodel.SPARK_WEIGHTS`, fitted on that Spark engine
+(T9), which charge each plan's Spark jobs and hash-table builds as well
+as its probes; the join orders do not depend on the weights. The paper's
+:class:`Weights` (§5.4) serve the analytic tables (T2–T8); pass
+``weights=Weights()`` for them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .costmodel import STRATEGIES, CostBreakdown, Weights
+from .costmodel import SPARK_WEIGHTS, STRATEGIES, CostBreakdown, Weights
 from .jointree import JoinTree
 from .optimizer import optimize
 
@@ -36,7 +43,7 @@ def rank_strategies(
     method: str = "survival",
     eps: float = 0.0,
     flat_output: bool = True,
-    weights: Weights = Weights(),
+    weights: Weights = SPARK_WEIGHTS,
 ) -> list[PlanChoice]:
     """Cost every strategy (best order each) and rank cheapest-first.
 

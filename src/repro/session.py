@@ -1,6 +1,7 @@
 """The one SparkSession builder: ``jobs/run_all.py`` and the tests'
 ``spark`` fixture both start their session here. :func:`to_spark` loads
-a query's pandas relations into it.
+a query's pandas relations into it, and :func:`counting_jobs` counts the
+Spark jobs of one call.
 
 Master, driver memory and shuffle partitions come from the environment
 (``SPARK_MASTER``, ``SPARK_DRIVER_MEM``, ``SPARK_SHUFFLE_PARTITIONS``).
@@ -12,6 +13,7 @@ its own.
 from __future__ import annotations
 
 import os
+import uuid
 
 import pandas as pd
 
@@ -48,3 +50,19 @@ def to_spark(spark, pdata: dict[str, pd.DataFrame]) -> dict:
         n: spark.createDataFrame(pdf, schema=StructType([StructField(c, LongType()) for c in pdf.columns]))
         for n, pdf in pdata.items()
     }
+
+
+def counting_jobs(spark, fn):
+    """Run ``fn()`` in a job group of its own and return ``(fn's result,
+    ids of the Spark jobs it ran)``. It waits for the listener bus to drain
+    first, so the status tracker has seen every job the call started, also
+    those started from other threads that inherited the group."""
+    sc = spark.sparkContext
+    group = f"spark-jobs-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, group)
+    try:
+        out = fn()
+    finally:
+        sc._jsc.clearJobGroup()
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return out, list(sc.statusTracker().getJobIdsForGroup(group))

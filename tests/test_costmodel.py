@@ -329,6 +329,34 @@ class TestWeightsAndTotals:
         w = cm.Weights()
         assert w.bv_probe == 0.5 and w.sj_probe == 0.5
         assert w.tuple_gen == pytest.approx(1 / 14)
+        # The paper's model charges neither hash-table builds nor jobs.
+        assert w.build_row == 0.0 and w.spark_job == 0.0
+
+    def test_total_prices_builds_and_jobs_at_their_weights(self):
+        cb = cm.CostBreakdown(hash_probes={"a": 100.0}, tuples_generated=14.0, build_rows=40.0, spark_jobs=3)
+        w = cm.Weights(tuple_gen=0.5, build_row=2.0, spark_job=10.0)
+        assert cb.total(w) == pytest.approx(100 + 7 + 80 + 30)
+        assert cb.total() == pytest.approx(100 + 1)
+
+    def test_build_rows_per_strategy(self):
+        t, ms, fos = example()
+        t.size.update({"R1": N, "R2": 2400, "R3": 500, "R4": 700, "R5": 1400, "R6": 300})
+        rel = 2400 + 500 + 700 + 1400 + 300
+        ratio, _ = cm.sj_adjusted(t)
+        reduced = sum(t.size[c] * ratio[c] for c in t.nonroot)
+        want = {"STD": rel, "BVP+STD": 2 * rel, "SJ+STD": 2 * reduced}
+        for s, rows in want.items():
+            assert cm.plan_costs(t, s, None, N).build_rows == pytest.approx(rows), s
+            # COM builds on the same relations, plus its spines.
+            com = s.replace("STD", "COM")
+            assert cm.plan_costs(t, com, None, N).build_rows > rows, com
+
+    def test_spark_jobs_depend_on_depths_not_order(self):
+        t, _, _ = example()
+        t.size.update({"R1": N, "R2": 2400, "R3": 500, "R4": 700, "R5": 1400, "R6": 300})
+        for s in cm.STRATEGIES:
+            jobs = {cm.plan_costs(t, s, o, N).spark_jobs for o in t.valid_orders()}
+            assert jobs == {cm.spark_jobs(t, s)}
 
     def test_total_combines_components(self):
         cb = cm.CostBreakdown(

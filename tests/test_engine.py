@@ -362,6 +362,35 @@ class TestSparkPlans:
         assert len(counted) - len(lazy) < len(tree.bfs_order())
 
 
+JOB_TREES = {
+    "example": lambda: example_tree(),
+    "star6": lambda: jt.star(6, {f"R{i}": EdgeStats(0.6, 2.0) for i in range(2, 8)}),
+    "snow21": lambda: snow21(0)[0],
+    "chain4": lambda: jt.JoinTree(
+        "R1", {"R2": "R1", "R3": "R2", "R4": "R3"}, {c: EdgeStats(0.7, 2.0) for c in ("R2", "R3", "R4")}
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=list(JOB_TREES))
+def job_tree(request, spark):
+    tree = JOB_TREES[request.param]()
+    return tree, to_spark(spark, gen_tree_data(tree, 100, seed=5))
+
+
+class TestSparkJobs:
+    """The planner prices each plan's Spark jobs with ``cm.spark_jobs``,
+    which is read off the engine's plans: a change to how many jobs a
+    strategy schedules must change the formula with it."""
+
+    @pytest.mark.parametrize("flat", [True, False])
+    @pytest.mark.parametrize("strategy", STRATS)
+    def test_observed_jobs_equal_the_formula(self, spark, job_tree, strategy, flat, spark_jobs):
+        tree, sdata = job_tree
+        _, jobs = spark_jobs(lambda: run_strategy(spark, tree, sdata, strategy, measure=False, flat_output=flat))
+        assert len(jobs) == cm.spark_jobs(tree, strategy, flat)
+
+
 def load_perfbench_tracing(monkeypatch):
     """perfbench's tracer module, loaded from its file as it is."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"

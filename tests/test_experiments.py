@@ -1,4 +1,4 @@
-"""Experiment harnesses T1–T8: smoke runs at reduced scale + headline
+"""Experiment harnesses T1–T9: smoke runs at reduced scale + headline
 qualitative claims of the paper's evaluation."""
 import importlib.util
 import random
@@ -144,6 +144,21 @@ class TestSparkExperimentsSmoke:
         assert len(rows) == 1
         assert rows[0]["rel_COM"] == 1.0
 
+    def test_t9_single_cell(self, spark):
+        # One held-out cell: the six ranked plans run, each plan's observed
+        # Spark jobs equal the model's, and each weight set's pick has a
+        # regret against the fastest of the six.
+        from repro.core.costmodel import SPARK_WEIGHTS, Weights
+        from repro.experiments import t9_spark_weights as t9
+
+        tree = t9.held_out_tree("snow21")
+        rows = t9.plan_rows(spark, tree, 300, seed=1, reps=1, shape="snow21")
+        assert [r["strategy"] for r in rows] == list(STRATEGIES)
+        assert all(r["jobs_observed"] == r["spark_jobs"] for r in rows)
+        got = t9.held_out_summary(tree, rows, {"spark": SPARK_WEIGHTS, "paper": Weights()})
+        assert got["spark_pick"] in STRATEGIES and got["paper_pick"].endswith("COM")
+        assert got["spark_regret"] >= 1.0 and got["paper_regret"] >= 1.0
+
     def test_t7_sim_only(self):
         from repro.experiments import t7_validation
 
@@ -181,7 +196,7 @@ class TestRunAll:
     def test_unknown_table_exits_2(self, tmp_path, monkeypatch):
         run_all = _load_run_all()
         monkeypatch.setattr(run_all, "RESULTS", str(tmp_path / "results"))
-        assert run_all.main(["t6", "t9"]) == 2
+        assert run_all.main(["t6", "t10"]) == 2
         assert not (tmp_path / "results").exists()
 
     def test_failed_table_exits_1_after_the_rest(self, tmp_path, monkeypatch, capsys):
@@ -198,3 +213,38 @@ class TestRunAll:
         assert (tmp_path / "t2.md").read_text() == "last good t2"
         assert "t2 FAILED: RuntimeError('boom')" in capsys.readouterr().err
         assert "t6 table" in (tmp_path / "t6.md").read_text()
+
+
+class TestT9Fit:
+    def test_recovers_known_weights(self):
+        from repro.experiments import t9_spark_weights as t9
+
+        secs = dict(spark_job=0.03, hash_probe=8e-7, bv_probe=3e-7, sj_probe=5e-7, tuple_gen=0.0, build_row=2e-6)
+        rng = random.Random(0)
+        rows = []
+        for _ in range(40):
+            row = {c: rng.uniform(0, 1e6) for c in t9.COUNTS}
+            row["spark_jobs"] = rng.randint(5, 90)
+            row["wall_s"] = sum(secs[k] * sum(row[c] for c in cols) for k, cols in t9.FEATURES.items())
+            rows.append(row)
+        got = t9.fit(rows)
+        for k in t9.FEATURES:
+            assert getattr(got, k) == pytest.approx(secs[k] / secs["hash_probe"], rel=1e-9, abs=1e-9), k
+
+    def test_no_hash_probe_cost_has_no_unit(self):
+        from repro.experiments import t9_spark_weights as t9
+
+        rows = [{**{c: 0.0 for c in t9.COUNTS}, "spark_jobs": j, "wall_s": 0.03 * j} for j in (5, 9, 20)]
+        with pytest.raises(ValueError):
+            t9.fit(rows)
+
+    def test_committed_fit_is_the_planners_weights(self):
+        import json
+
+        from repro.core.costmodel import SPARK_WEIGHTS
+        from repro.experiments import t9_spark_weights as t9
+
+        bench = json.loads((Path(__file__).resolve().parents[1] / "BENCH_engine.json").read_text())
+        got = t9.fit(bench["fit_rows"])
+        for k in t9.FEATURES:
+            assert getattr(got, k) == pytest.approx(getattr(SPARK_WEIGHTS, k), rel=1e-9, abs=1e-9), k

@@ -17,6 +17,7 @@ def sized_tree(ms, fos, n=1000.0):
     return t
 
 
+PAPER = cm.Weights()
 HIGH_M = {"R2": 0.9, "R3": 0.8, "R4": 0.85, "R5": 0.9, "R6": 0.8}
 LOW_M = {"R2": 0.05, "R3": 0.08, "R4": 0.05, "R5": 0.06, "R6": 0.05}
 HIGH_FO = {c: 5.0 for c in HIGH_M}
@@ -57,33 +58,65 @@ class TestRanking:
 
 
 class TestStrategySelection:
-    """§5.4 qualitative behaviour of the analytic comparison."""
+    """§5.4 qualitative behaviour of the analytic comparison, which prices
+    plans with the paper's weights."""
 
     def test_high_match_high_fanout_prefers_com_family(self):
         # At high m, bitvectors/semijoins prune nothing — COM wins (§5.4).
-        best = choose_plan(sized_tree(HIGH_M, HIGH_FO), flat_output=False)
+        best = choose_plan(sized_tree(HIGH_M, HIGH_FO), flat_output=False, weights=PAPER)
         assert best.strategy.endswith("COM")
 
     def test_com_beats_std_with_fanouts(self):
-        plans = {p.strategy: p.cost for p in rank_strategies(sized_tree(HIGH_M, HIGH_FO))}
+        plans = {p.strategy: p.cost for p in rank_strategies(sized_tree(HIGH_M, HIGH_FO), weights=PAPER)}
         assert plans["COM"] < plans["STD"]
 
     def test_low_match_makes_pruning_competitive(self):
         # At very low m, STD variants are competitive with COM (§5.2):
         # the COM family's advantage should (nearly) vanish.
-        plans = {p.strategy: p.cost for p in rank_strategies(sized_tree(LOW_M, HIGH_FO))}
+        plans = {p.strategy: p.cost for p in rank_strategies(sized_tree(LOW_M, HIGH_FO), weights=PAPER)}
         assert plans["BVP+STD"] <= plans["STD"]
         assert plans["STD"] <= 2.0 * plans["COM"]
 
     def test_unit_fanout_com_gains_nothing_on_probes(self):
         t = sized_tree(HIGH_M, UNIT_FO)
-        plans = {p.strategy: p for p in rank_strategies(t, flat_output=False)}
+        plans = {p.strategy: p for p in rank_strategies(t, flat_output=False, weights=PAPER)}
         assert plans["COM"].breakdown.total_hash_probes == pytest.approx(
             plans["STD"].breakdown.total_hash_probes
         )
 
     def test_method_optimal_not_worse(self):
         t = sized_tree(HIGH_M, HIGH_FO)
-        h = choose_plan(t, method="survival").cost
-        o = choose_plan(t, method="optimal").cost
+        h = choose_plan(t, method="survival", weights=PAPER).cost
+        o = choose_plan(t, method="optimal", weights=PAPER).cost
         assert o <= h + 1e-9
+
+
+def bench_tree(shape: str, n: float = 5000.0):
+    """The benchmark workload's tree with its expected relation sizes."""
+    from repro.experiments.t9_spark_weights import held_out_tree
+
+    t = held_out_tree(shape)
+    t.size[t.root] = n
+    for c in t.bfs_order()[1:]:
+        t.size[c] = t.size[t.parent[c]] * t.stats[c].s
+    return t
+
+
+class TestSparkWeights:
+    """The planner's default weights are fitted on the Spark engine, where
+    each job has a fixed cost: on the benchmark's trees flat STD-family
+    plans run fastest (T9), while the paper's weights pick the COM family."""
+
+    @pytest.mark.parametrize("shape", ["star7", "snow21"])
+    def test_default_weights_pick_the_std_family(self, shape):
+        assert choose_plan(bench_tree(shape)).strategy in ("STD", "SJ+STD")
+
+    @pytest.mark.parametrize("shape", ["star7", "snow21"])
+    def test_paper_weights_pick_the_com_family(self, shape):
+        assert choose_plan(bench_tree(shape), weights=PAPER).strategy.endswith("COM")
+
+    def test_weights_change_the_ranking_not_the_orders(self):
+        t = bench_tree("star7")
+        spark = {p.strategy: p.order for p in rank_strategies(t)}
+        paper = {p.strategy: p.order for p in rank_strategies(t, weights=PAPER)}
+        assert spark == paper
