@@ -1,6 +1,11 @@
 #!/usr/bin/env python
 """Run the evaluation tables (T1–T9) and write results/tN.md files; T9 also
-writes its rows and fitted weights to BENCH_engine.json.
+writes its rows and fitted weights to results/t9.json.
+
+BENCH_engine.json is the committed T9 run whose fit is the planner's
+``costmodel.SPARK_WEIGHTS``. A fresh T9 run leaves both alone; to adopt it,
+copy results/t9.json over BENCH_engine.json and set SPARK_WEIGHTS to its
+``weights`` (tests/test_experiments.py::TestT9Fit checks the two agree).
 
 Scale knobs via REPRO_* env vars (see repro/experiments/*). Usage:
 
@@ -18,7 +23,6 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 RESULTS = os.path.join(os.path.dirname(__file__), "..", "results")
-BENCH_ENGINE = os.path.join(os.path.dirname(__file__), "..", "BENCH_engine.json")
 TABLES = ("t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "t9")
 NEEDS_SPARK = {"t1", "t4", "t5", "t7", "t8", "t9"}
 
@@ -55,7 +59,7 @@ def main(which=None) -> int:
         "t6": lambda: t6_simulation.run(),
         "t7": lambda: t7_validation.run(spark),
         "t8": lambda: t8_robustness_exec.run(spark),
-        "t9": lambda: t9_spark_weights.run(spark, bench_path=BENCH_ENGINE),
+        "t9": lambda: t9_spark_weights.run(spark, json_path=os.path.join(RESULTS, "t9.json")),
     }
     failed = []
     for name in which:

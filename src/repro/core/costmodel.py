@@ -28,9 +28,10 @@ hash probe (§5.4). :class:`Weights` captures these.
 
 On Spark two costs that the paper's model has no term for decide much
 of the wall time: a fixed cost per Spark job (:func:`spark_jobs`) and the
-rows each broadcast's hash-table build reads (:func:`build_rows`, plus
-COM's spines). ``plan_costs`` fills both counts; the paper's weights price
-them at 0, and :data:`SPARK_WEIGHTS`, fitted on the engine (T9), do not.
+rows each broadcast's hash-table build reads (``CostBreakdown.build_rows``,
+filled by every cost function). ``plan_costs`` fills both counts; the
+paper's weights price them at 0, and :data:`SPARK_WEIGHTS`, fitted on the
+engine (T9), do not.
 
 BVP model (one-step lookahead, matching §3.5's formulas): every non-root
 node ``c`` owns a bitvector built from the *unfiltered base* relation
@@ -71,22 +72,28 @@ class Weights:
 
 # The weights of the Spark engine (``repro.engine``): T9's fit
 # (``experiments/t9_spark_weights.py``) of the rows in BENCH_engine.json,
-# on ``local[2]``, 4 vCPUs: a hash probe is 0.54 µs there, a Spark job
-# 12.9 ms. Rerunning T9 rewrites that file; copy its weights here.
-# The planner ranks with these.
+# on ``local[2]``, 4 vCPUs: a hash probe is 0.71 µs there, a Spark job
+# 13.7 ms. A fresh T9 run writes results/t9.json and changes neither;
+# adopting it means copying that file over BENCH_engine.json and its
+# weights here, together. The planner ranks with these.
 SPARK_WEIGHTS = Weights(
     hash_probe=1.0,
-    bv_probe=0.0,
-    sj_probe=4.316786129293201,
+    bv_probe=0.12032766402498893,
+    sj_probe=3.8053219216726335,
     tuple_gen=0.0,
-    build_row=2.8618266106194485,
-    spark_job=23699.095018357657,
+    build_row=2.3863585451843905,
+    spark_job=19195.488841711966,
 )
 
 
 @dataclass
 class CostBreakdown:
-    """Expected operation counts of one plan; ``total`` applies Weights."""
+    """Expected operation counts of one plan; ``total`` applies Weights.
+
+    ``build_rows`` are the rows that the engine's hash-table builds read:
+    every joined relation (after SJ, reduced), once more per bitvector
+    (BVP) or phase-1 key broadcast (SJ), and COM's spines. Every cost
+    function fills the whole count."""
 
     hash_probes: dict[str, float] = field(default_factory=dict)
     bv_probes: dict[str, float] = field(default_factory=dict)
@@ -345,7 +352,9 @@ def _step_costs(
     fresh tuples (the driver's: ``n_driver``)."""
     if not tree.is_valid_order(order):
         raise ValueError(f"invalid left-deep order {order} for tree rooted at {tree.root}")
-    cb = CostBreakdown()
+    relation_rows = sum(_relation_sizes(tree, n_driver)[c] for c in tree.nonroot)
+    # Every join broadcasts R_l; with BVP each R_c is read again for its bitvector.
+    cb = CostBreakdown(build_rows=2.0 * relation_rows if bvp else relation_rows)
     fresh_at = {tree.root: n_driver}
     order_pos = {c: i for i, c in enumerate(order)}
     processed: set[str] = set()
@@ -368,6 +377,15 @@ def _step_costs(
             # l materialized: gate its children on the fresh tuples.
             _bv_probes_at(tree, l, fresh, order_pos, cb.bv_probes, eps)
     return cb, fresh_at
+
+
+def _relation_sizes(tree: JoinTree, n_driver: float) -> dict[str, float]:
+    """Each relation's rows: ``tree.size``, else its expected size (the
+    parent's times m·fo); the driver's is ``n_driver``."""
+    size = {tree.root: n_driver}
+    for c in tree.bfs_order()[1:]:
+        size[c] = float(tree.size.get(c, size[tree.parent[c]] * tree.stats[c].s))
+    return size
 
 
 def _spine_build_rows(tree: JoinTree, order: list[str], spine: dict[str, float], flat_output: bool) -> float:
@@ -397,7 +415,7 @@ def com_costs(
     """Cost of a COM (factorized) plan, optionally with bitvectors."""
     probes = com_probes_fn(tree, n_driver, bvp=bvp, eps=eps)
     cb, spine = _step_costs(tree, order, n_driver, probes, bvp=bvp, eps=eps)
-    cb.build_rows = _spine_build_rows(tree, order, spine, flat_output)
+    cb.build_rows += _spine_build_rows(tree, order, spine, flat_output)
     if flat_output:
         cb.expansion_tuples = expected_output(tree, n_driver)
     return cb
@@ -494,7 +512,12 @@ def sj_costs(
     ``order=None`` uses the §3.6 optimal phase-2 order.
     """
     ratio, adj = sj_adjusted(tree)
-    reduced = replace(tree, stats={c: EdgeStats(1.0, adj[c].fo) for c in tree.nonroot})
+    size = _relation_sizes(tree, n_driver)
+    reduced = replace(
+        tree,
+        stats={c: EdgeStats(1.0, adj[c].fo) for c in tree.nonroot},
+        size={x: size[x] * ratio[x] for x in tree.nodes},
+    )
     n_red = n_driver * ratio[tree.root]
     if order is None:
         order = default_order(tree, "SJ+COM" if com else "SJ+STD")
@@ -505,6 +528,8 @@ def sj_costs(
     else:
         cb = std_costs(reduced, order, n_red)
     cb.sj_probes = sj_phase1_probes(tree)
+    # Phase 1 broadcasts each reduced child's keys once more.
+    cb.build_rows += sum(reduced.size[c] for c in tree.nonroot)
     return cb
 
 
@@ -531,33 +556,8 @@ def sj_optimal_phase2_order(tree: JoinTree, *, com: bool) -> list[str]:
 
 
 # --------------------------------------------------------------------------
-# Spark's fixed costs: hash-table builds and jobs
+# Spark's fixed cost per job
 # --------------------------------------------------------------------------
-
-
-def build_rows(tree: JoinTree, strategy: str, n_driver: float) -> float:
-    """Relation rows that the engine's hash-table builds read for one run
-    of ``strategy``: every broadcast builds a table on its build side, and
-    a bitvector reads its whole relation.
-
-    - each joined relation R_l once (STD and COM broadcast it; after SJ it
-      is the reduced relation);
-    - BVP: each R_c again, for its bitvector;
-    - SJ: each reduced child again, for its phase-1 key broadcast.
-
-    COM's broadcasts of its spines are counted by ``com_costs``, which
-    knows the spine sizes; :func:`plan_costs` adds the two. Relation sizes
-    come from ``tree.size``; a missing one is its expected size, the
-    parent's times m·fo.
-    """
-    size = {tree.root: n_driver}
-    for c in tree.bfs_order()[1:]:
-        size[c] = float(tree.size.get(c, size[tree.parent[c]] * tree.stats[c].s))
-    if strategy.startswith("SJ"):
-        ratio, _ = sj_adjusted(tree)
-        return 2.0 * sum(size[c] * ratio[c] for c in tree.nonroot)
-    rows = sum(size[c] for c in tree.nonroot)
-    return 2.0 * rows if strategy.startswith("BVP") else rows
 
 
 def spark_jobs(tree: JoinTree, strategy: str, flat_output: bool = True) -> int:
@@ -638,6 +638,5 @@ def plan_costs(
         cb = com_costs(tree, order, n, bvp=bvp, eps=eps, flat_output=flat_output)
     else:
         cb = std_costs(tree, order, n, bvp=bvp, eps=eps)
-    cb.build_rows += build_rows(tree, strategy, n)
     cb.spark_jobs = spark_jobs(tree, strategy, flat_output)
     return cb

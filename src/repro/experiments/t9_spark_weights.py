@@ -18,11 +18,18 @@ Spark job.
   read by hash-table builds), each row scaled by its wall time so that
   every plan weighs by its relative error; the weights are normalised to
   hash_probe = 1. :data:`repro.core.costmodel.SPARK_WEIGHTS`
-  is this fit of the committed ``BENCH_engine.json``.
+  is this fit of the committed ``BENCH_engine.json``; a fresh run writes
+  its own JSON (``jobs/run_all.py``: ``results/t9.json``).
 - Held out: the benchmark's two trees (``perfbench/run.py``'s star7-5k
-  and snow21-5k statistics) at each driver. Per (shape, driver) the six
-  plans that ``rank_strategies`` costs all run; the pick under each weight
-  set is reported with its wall time and its regret against the fastest.
+  and snow21-5k statistics) at each driver. The features were chosen on
+  these trees (EXPERIMENTS.md T9), and STD is fastest on all of them.
+- Held out too, where pruning pays: per CHECK_SHAPES shape the
+  :func:`pruning_tree`, at CHECK_DRIVERS. These trees took no part in
+  the fit nor in choosing the features.
+
+Per held-out (tree, driver) the six plans that ``rank_strategies`` costs
+all run; the pick under each weight set is reported with its wall time
+and its regret against the fastest.
 """
 from __future__ import annotations
 
@@ -31,7 +38,7 @@ import json
 import os
 import random
 import statistics
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 from pyspark.sql import SparkSession
@@ -40,6 +47,7 @@ from repro.core import jointree as jt
 from repro.core.costmodel import STRATEGIES, Weights, expected_output, plan_costs
 from repro.core.datagen import gen_tree_data
 from repro.core.jointree import EdgeStats, JoinTree
+from repro.core.optimizer import optimize
 from repro.core.planner import rank_strategies
 from repro.engine import run_strategy
 from repro.session import counting_jobs, to_spark
@@ -51,6 +59,13 @@ FIT_SHAPES = ("path11", "snow32", "snow51")
 FIT_M_RANGES = ((0.1, 0.5), (0.5, 0.9))
 DRIVERS = (2_000, 5_000, 20_000, 50_000)
 HELD_OUT = ("star7", "snow21")
+# A second held-out set, where pruning pays: per shape, of PRUNE_TRIES
+# sampled trees with m ∈ PRUNE_M_RANGE, the one whose STD plan probes
+# most per probe of SJ+STD. It took no part in choosing the features.
+PRUNE_M_RANGE = (0.1, 0.5)
+PRUNE_TRIES = 200
+CHECK_SHAPES = ("star7", "path11", "snow32", "snow51")
+CHECK_DRIVERS = (20_000, 50_000)
 MAX_OUT = 1.5e6  # expected flat rows at the largest driver
 MAX_INTERM = 3e6  # expected STD intermediate rows at the largest driver
 
@@ -77,15 +92,45 @@ def held_out_tree(shape: str) -> JoinTree:
     return jt.snowflake(2, 1, {f"R{i}": EdgeStats(0.8, 3.0) for i in range(2, 6)})
 
 
+def _capped_tree(shape: str, m_range: tuple[float, float], n_max: int, rng: random.Random) -> JoinTree | None:
+    """A sampled tree of ``shape``, or None if its flat output or STD
+    intermediates at driver ``n_max`` exceed MAX_OUT or MAX_INTERM."""
+    tree = sample_shaped_tree(shape, rng, m_range=m_range, n_driver=n_max, max_out=MAX_OUT, min_out=1e4)
+    return tree if max(plan_costs(tree, "STD", None, n_max).hash_probes.values()) <= MAX_INTERM else None
+
+
 def fit_tree(shape: str, m_range: tuple[float, float], n_max: int, seed: int) -> JoinTree:
     """A tree of ``shape`` whose flat output and STD intermediates at
     driver ``n_max`` stay within MAX_OUT and MAX_INTERM."""
     rng = random.Random(stable_seed(seed, shape, m_range))
     for _ in range(100):
-        tree = sample_shaped_tree(shape, rng, m_range=m_range, n_driver=n_max, max_out=MAX_OUT, min_out=1e4)
-        if max(plan_costs(tree, "STD", None, n_max).hash_probes.values()) <= MAX_INTERM:
+        tree = _capped_tree(shape, m_range, n_max, rng)
+        if tree is not None:
             return tree
     raise RuntimeError(f"no {shape} tree for m ∈ {m_range} within the size caps")
+
+
+def prune_gain(tree: JoinTree, n: float) -> float:
+    """STD's hash probes (survival order) per hash and semi-join probe of
+    SJ+STD, at driver ``n`` and expected relation sizes: how much a
+    reducer saves by the model's counts, unweighted."""
+    size = {tree.root: n}
+    for c in tree.bfs_order()[1:]:
+        size[c] = size[tree.parent[c]] * tree.stats[c].s
+    sized = replace(tree, size=size)
+    std = optimize(sized, "STD", n, method="survival")[2]
+    sj = plan_costs(sized, "SJ+STD", None, n)
+    return std.total_hash_probes / (sj.total_hash_probes + sj.total_sj_probes)
+
+
+def pruning_tree(shape: str, n_max: int) -> JoinTree:
+    """Of PRUNE_TRIES trees within the size caps, the one with the largest
+    :func:`prune_gain` at driver ``n_max``."""
+    rng = random.Random(stable_seed(1, shape, "pruning"))
+    trees = [t for t in (_capped_tree(shape, PRUNE_M_RANGE, n_max, rng) for _ in range(PRUNE_TRIES)) if t]
+    if not trees:
+        raise RuntimeError(f"no {shape} tree for m ∈ {PRUNE_M_RANGE} within the size caps")
+    return max(trees, key=lambda t: prune_gain(t, n_max))
 
 
 def timed(spark: SparkSession, tree: JoinTree, sdata, strategy: str, order: list[str], reps: int):
@@ -148,7 +193,7 @@ def fit(rows: list[dict]) -> Weights:
 
 
 def held_out_summary(tree: JoinTree, rows: list[dict], weights: dict[str, Weights]) -> dict:
-    """One (shape, driver) group: the fastest of the six plans, and the
+    """One (tree, driver) group: the fastest of the six plans, and the
     plan ``rank_strategies`` picks under each weight set, with its wall
     time and its regret."""
     by = {r["strategy"]: r for r in rows}
@@ -185,54 +230,36 @@ def environment(spark: SparkSession) -> dict:
     }
 
 
-def run(
-    spark: SparkSession,
-    *,
-    seed: int = 0,
-    shapes=FIT_SHAPES,
-    m_ranges=FIT_M_RANGES,
-    drivers=DRIVERS,
-    held_out=HELD_OUT,
-    bench_path: str | None = None,
-):
-    """Fit the weights and evaluate the held-out picks; with ``bench_path``
-    also write the rows, the environment and the weights there as JSON."""
+def run(spark: SparkSession, json_path: str):
+    """Fit the weights and evaluate the held-out picks; once the table is
+    built, write the rows, the environment and the weights to ``json_path``."""
     reps = env_int("REPRO_T9_REPS", 3)
     env = environment(spark)
     fit_rows = []
-    for shape in shapes:
-        for mr in m_ranges:
-            tree = fit_tree(shape, mr, max(drivers), seed)
-            for n in drivers:
-                data_seed = stable_seed(seed, shape, mr, n)
-                fit_rows += plan_rows(spark, tree, n, data_seed, reps, shape=shape, m_range=list(mr))
+    for shape in FIT_SHAPES:
+        for mr in FIT_M_RANGES:
+            tree = fit_tree(shape, mr, max(DRIVERS), 0)
+            for n in DRIVERS:
+                fit_rows += plan_rows(spark, tree, n, stable_seed(0, shape, mr, n), reps, shape=shape, m_range=list(mr))
     w = fit(fit_rows)
     secs = fit_seconds(fit_rows)
     held_rows, summary = [], []
-    for shape in held_out:
+    for shape in HELD_OUT:
         tree = held_out_tree(shape)
-        for n in drivers:
-            rows = plan_rows(spark, tree, n, stable_seed(seed, shape, n), reps, shape=shape)
+        for n in DRIVERS:
+            rows = plan_rows(spark, tree, n, stable_seed(0, shape, n), reps, shape=shape)
             held_rows += rows
             summary.append(held_out_summary(tree, rows, {"spark": w, "paper": PAPER}))
-    for r, pred in zip(fit_rows + held_rows, features(fit_rows + held_rows) @ secs):
+    check_rows, check = [], []
+    for shape in CHECK_SHAPES:
+        tree = pruning_tree(shape, max(CHECK_DRIVERS))
+        for n in CHECK_DRIVERS:
+            rows = plan_rows(spark, tree, n, stable_seed(1, shape, n), reps, shape=shape)
+            check_rows += rows
+            check.append(held_out_summary(tree, rows, {"spark": w, "paper": PAPER}))
+    all_rows = fit_rows + held_rows + check_rows
+    for r, pred in zip(all_rows, features(all_rows) @ secs):
         r["pred_wall_s"] = float(pred)
-    if bench_path:
-        with open(bench_path, "w") as f:
-            json.dump(
-                {
-                    "table": "t9",
-                    "environment": env,
-                    "weights": asdict(w),
-                    "seconds_per_hash_probe": float(secs[1]),
-                    "fit_rows": fit_rows,
-                    "held_out_rows": held_rows,
-                    "held_out": summary,
-                },
-                f,
-                indent=1,
-            )
-            f.write("\n")
     rel_err = [abs(r["pred_wall_s"] / r["wall_s"] - 1.0) for r in fit_rows]
     md = "\n\n".join([
         md_table([{
@@ -242,9 +269,27 @@ def run(
         f"One hash probe = {secs[1] * 1e6:.3g} µs, one Spark job = {secs[0] * 1e3:.3g} ms "
         f"({len(fit_rows)} fit rows; |predicted/observed − 1|: median {statistics.median(rel_err):.2f}, "
         f"max {max(rel_err):.2f}; observed jobs = predicted in "
-        f"{sum(r['jobs_observed'] == r['spark_jobs'] for r in fit_rows + held_rows)} of "
-        f"{len(fit_rows + held_rows)} runs).",
+        f"{sum(r['jobs_observed'] == r['spark_jobs'] for r in all_rows)} of {len(all_rows)} runs).",
         "Held out (the benchmark's trees):",
         md_table(summary, floatfmt=".3g"),
+        f"Held out, where pruning pays (m ∈ {list(PRUNE_M_RANGE)}, the largest prune_gain of {PRUNE_TRIES}):",
+        md_table(check, floatfmt=".3g"),
     ])
-    return fit_rows + held_rows, md
+    with open(json_path, "w") as f:
+        json.dump(
+            {
+                "table": "t9",
+                "environment": env,
+                "weights": asdict(w),
+                "seconds_per_hash_probe": float(secs[1]),
+                "fit_rows": fit_rows,
+                "held_out_rows": held_rows,
+                "held_out": summary,
+                "check_rows": check_rows,
+                "check": check,
+            },
+            f,
+            indent=1,
+        )
+        f.write("\n")
+    return all_rows, md

@@ -159,6 +159,39 @@ class TestSparkExperimentsSmoke:
         assert got["spark_pick"] in STRATEGIES and got["paper_pick"].endswith("COM")
         assert got["spark_regret"] >= 1.0 and got["paper_regret"] >= 1.0
 
+    def test_t9_run_one_cell_each(self, spark, tmp_path, monkeypatch):
+        # run() end to end on one fit cell and one cell of each held-out
+        # set: every row reaches the JSON and the table is built. The fit
+        # itself is TestT9Fit's; six plans at driver 300 are too few rows
+        # to pin six weights, so the seconds per unit are fixed here.
+        import json
+        from dataclasses import asdict
+
+        import numpy as np
+
+        from repro.experiments import t9_spark_weights as t9
+
+        one_cell = {
+            "FIT_SHAPES": ("snow32",), "FIT_M_RANGES": ((0.5, 0.9),), "DRIVERS": (300,),
+            "HELD_OUT": ("snow21",), "PRUNE_TRIES": 2, "CHECK_SHAPES": ("star7",), "CHECK_DRIVERS": (300,),
+        }
+        for name, value in one_cell.items():
+            monkeypatch.setattr(t9, name, value)
+        monkeypatch.setenv("REPRO_T9_REPS", "1")
+        secs = np.array([0.013, 5.4e-7, 0.0, 2.3e-6, 0.0, 1.5e-6])  # per FEATURES key
+        monkeypatch.setattr(t9, "fit_seconds", lambda rows: secs)
+        path = tmp_path / "t9.json"
+        rows, md = t9.run(spark, json_path=str(path))
+        out = json.loads(path.read_text())
+        assert len(out["fit_rows"]) == len(out["held_out_rows"]) == len(out["check_rows"]) == len(STRATEGIES)
+        assert rows == out["fit_rows"] + out["held_out_rows"] + out["check_rows"]
+        assert out["weights"] == asdict(t9.fit(out["fit_rows"]))
+        assert [g["shape"] for g in out["held_out"]] == ["snow21"]
+        assert [g["shape"] for g in out["check"]] == ["star7"]
+        for r in rows:
+            assert r["pred_wall_s"] == pytest.approx(float(t9.features([r])[0] @ secs))
+        assert "Held out (the benchmark's trees)" in md and "where pruning pays" in md
+
     def test_t7_sim_only(self):
         from repro.experiments import t7_validation
 
