@@ -1,6 +1,8 @@
 #!/usr/bin/env python
 """Run the evaluation tables (T1–T9) and write results/tN.md files; T9 also
-writes its rows and fitted weights to results/t9.json.
+writes its rows and fitted weights to results/t9.json, and before it fits,
+its fit rows to results/t9_fit_rows.jsonl (one JSON object a line, written
+as they are timed), so a fit that fails keeps them.
 
 BENCH_engine.json is the committed T9 run whose fit is the planner's
 ``costmodel.SPARK_WEIGHTS``. A fresh T9 run leaves both alone; to adopt it,

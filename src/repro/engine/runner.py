@@ -22,6 +22,13 @@ Why after the clock and not inside the timed plan:
   rules drop the observed nodes, and their observations stay empty even
   for frames with rows (an m = 0 edge, an empty driver). Such frames need
   a count of their own; the other counted frames are not measured yet.
+  In PySpark 4.1.2, ``Observation.get`` on a node Spark pruned does not
+  return empty: it raises (an assertion in ``PythonSQLUtils.toPyRow``).
+- ``observe()`` also slows the timed plan. One on each distinct counted
+  frame of STD's plan (the driver scan and every join output), in
+  perfbench's session with seed 11, took the median of 10 runs after 3
+  warm-ups from 0.215 to 0.304 s on star7-5k, 0.256 to 0.370 s on
+  snow21-5k, and 0.64 to 0.87 s on snow21 at driver 20k (4-vCPU host).
 - Checkpointing every counted frame makes them exact, but as the only
   path it made the benchmark's ``answer_s`` slower on a 4-vCPU host:
   star7-5k 6.6 → 10.8 s, snow21-5k 7.4 → 10.8 s. With the fewest

@@ -2,8 +2,9 @@
 
 Random pattern queries per lite dataset (the paper used 10 random queries
 from each of 5 CE datasets with result sizes bounded); all six strategies
-run with the survival-order default; wall times relative to COM, plus the
-modeled weighted-cost ratios.
+run with the survival-order default (``common.run_plans``); wall times
+relative to COM ("TO" over ``common.MAX_INTERM``), plus the modeled
+weighted-cost ratios.
 """
 from __future__ import annotations
 
@@ -12,12 +13,11 @@ import random
 from pyspark.sql import SparkSession
 
 from repro.ce_lite import load_dataset, random_query
-from repro.core.costmodel import STRATEGIES, plan_costs
-from repro.core.optimizer import greedy_order
-from repro.engine import run_strategy
+from repro.core.costmodel import STRATEGIES, Weights
+from repro.core.planner import rank_strategies
 from repro.session import to_spark
 
-from .common import env_float, env_int, md_table, stable_seed
+from .common import env_float, env_int, md_table, rel_to_com, run_plans, stable_seed
 
 DATASET_NAMES = ["epinions_lite", "imdb_lite", "watdiv_lite", "dblp_lite", "yago_lite"]
 
@@ -25,7 +25,6 @@ DATASET_NAMES = ["epinions_lite", "imdb_lite", "watdiv_lite", "dblp_lite", "yago
 def run(spark: SparkSession, *, n_queries: int | None = None, seed: int = 0, datasets=None):
     n_queries = n_queries or env_int("REPRO_T5_QUERIES", 2)
     max_out = env_float("REPRO_T5_MAX_OUT", 5e5)
-    max_interm = env_float("REPRO_T5_MAX_INTERM", 2.5e7)
     datasets = datasets or DATASET_NAMES
     rows = []
     for ds in datasets:
@@ -44,32 +43,13 @@ def run(spark: SparkSession, *, n_queries: int | None = None, seed: int = 0, dat
             if tree is None:
                 rows.append({"dataset": ds, "query": f"q{qi}", "n_rels": "unsat"})
                 continue
-            sdata = to_spark(spark, pdata)
-            n_driver = len(pdata[tree.root])
-            order = greedy_order(tree, "survival", n_driver)
-            walls: dict[str, float | None] = {}
-            for strat in STRATEGIES:
-                est = plan_costs(tree, strat, None if strat.startswith("SJ") else order, n_driver)
-                if est.hash_probes and max(est.hash_probes.values()) > max_interm:
-                    walls[strat] = None
-                    continue
-                res = run_strategy(
-                    spark, tree, sdata, strat,
-                    None if strat.startswith("SJ") else order,
-                    measure=False, flat_output=True,
-                )
-                walls[strat] = res.wall_time_s
-            base = walls["COM"]
-            mcosts = {
-                s: plan_costs(tree, s, None if s.startswith("SJ") else order, n_driver).total()
-                for s in STRATEGIES
-            }
-            row = {"dataset": ds, "query": f"q{qi}", "n_rels": len(tree.nodes)}
-            for strat in STRATEGIES:
-                w = walls[strat]
-                row[f"rel_{strat}"] = "TO" if w is None else round(w / base, 2)
-                row[f"model_rel_{strat}"] = round(mcosts[strat] / mcosts["COM"], 2)
-            rows.append(row)
+            runs = run_plans(spark, tree, to_spark(spark, pdata), rank_strategies(
+                tree, len(pdata[tree.root]), weights=Weights()
+            ))
+            rows.append({
+                "dataset": ds, "query": f"q{qi}", "n_rels": len(tree.nodes),
+                **rel_to_com(runs, "wall_s", "rel_"), **rel_to_com(runs, "cost", "model_rel_"),
+            })
     cols = (
         ["dataset", "query", "n_rels"]
         + [f"rel_{s}" for s in STRATEGIES]

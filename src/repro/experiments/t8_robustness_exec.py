@@ -17,12 +17,13 @@ import statistics
 from pyspark.sql import SparkSession
 
 from repro.ce_lite import load_dataset, random_query
-from repro.core.costmodel import STRATEGIES, Weights
+from repro.core.costmodel import STRATEGIES, Weights, plan_costs
+from repro.core.datagen import gen_tree_data
+from repro.core.planner import PlanChoice
 from repro.core.simulator import simulate
-from repro.engine import run_strategy
 from repro.session import to_spark
 
-from .common import env_int, md_table, random_valid_order, stable_seed
+from .common import env_int, md_table, random_valid_order, run_plans, stable_seed
 from .shapes import sample_shaped_tree
 
 
@@ -58,8 +59,6 @@ def run(spark: SparkSession | None, *, n_driver: int | None = None, seed: int = 
     for qname, tree, pdata in _queries(seed, n_driver):
         rng = random.Random(stable_seed(seed, qname))
         if pdata is None:
-            from repro.core.datagen import gen_tree_data
-
             pdata = gen_tree_data(tree, n_driver, seed=rng.randrange(1 << 30))
         orders = [random_valid_order(tree, rng) for _ in range(k_sim)]
         sdata = None
@@ -79,14 +78,10 @@ def run(spark: SparkSession | None, *, n_driver: int | None = None, seed: int = 
                 "probes_cv": cv,
             }
             if sdata is not None:
-                walls = [
-                    run_strategy(
-                        spark, tree, sdata, strat, order=o, measure=False, flat_output=False
-                        if strat.endswith("COM") else True,
-                    ).wall_time_s
-                    for o in orders[:k_wall]
-                ]
-                wmin, wcv = _spread(walls)
+                flat = not strat.endswith("COM")
+                costed = [(o, plan_costs(tree, strat, o, len(pdata[tree.root]), flat_output=flat)) for o in orders[:k_wall]]
+                plans = [PlanChoice(strat, o, cb.total(w), cb) for o, cb in costed]
+                wmin, wcv = _spread([r.wall_s for r in run_plans(spark, tree, sdata, plans, flat_output=flat)])
                 row.update(wall_min_norm=wmin, wall_cv=wcv)
             rows.append(row)
     return rows, md_table(rows)

@@ -9,9 +9,9 @@ Spark job.
 - Fit set: the shapes path11, snow32 and snow51, two match-probability
   ranges, drivers 2k, 5k, 20k and 50k (one tree per shape and range,
   sampled so its peak intermediate at the largest driver stays bounded).
-  All six strategies run with flat output, the survival order (SJ: the
-  §3.6 order) and exact bitvectors; each wall time is the median of 3
-  warm runs after 1 warm-up, whose Spark jobs are counted.
+  All six strategies run (``common.run_plans``) with flat output, the
+  survival order (SJ: the §3.6 order) and exact bitvectors; each wall time
+  is the median of 3 warm runs after 1 warm-up, whose jobs are counted.
 - Fit: non-negative least squares of wall time on the model's counts, one
   per :class:`~repro.core.costmodel.Weights` field (Spark jobs, hash,
   bitvector and semi-join probes, generated and expanded tuples, rows
@@ -19,7 +19,8 @@ Spark job.
   every plan weighs by its relative error; the weights are normalised to
   hash_probe = 1. :data:`repro.core.costmodel.SPARK_WEIGHTS`
   is this fit of the committed ``BENCH_engine.json``; a fresh run writes
-  its own JSON (``jobs/run_all.py``: ``results/t9.json``).
+  its own JSON (``jobs/run_all.py``: ``results/t9.json``, fit rows first
+  to ``results/t9_fit_rows.jsonl``).
 - Held out: the benchmark's two trees (``perfbench/run.py``'s star7-5k
   and snow21-5k statistics) at each driver. The features were chosen on
   these trees (EXPERIMENTS.md T9), and STD is fastest on all of them.
@@ -44,15 +45,14 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core import jointree as jt
-from repro.core.costmodel import STRATEGIES, Weights, expected_output, plan_costs
+from repro.core.costmodel import Weights, expected_output, plan_costs
 from repro.core.datagen import gen_tree_data
 from repro.core.jointree import EdgeStats, JoinTree
 from repro.core.optimizer import optimize
 from repro.core.planner import rank_strategies
-from repro.engine import run_strategy
-from repro.session import counting_jobs, to_spark
+from repro.session import to_spark
 
-from .common import env_int, md_table, stable_seed
+from .common import env_int, md_table, run_plans, stable_seed
 from .shapes import sample_shaped_tree
 
 FIT_SHAPES = ("path11", "snow32", "snow51")
@@ -133,25 +133,14 @@ def pruning_tree(shape: str, n_max: int) -> JoinTree:
     return max(trees, key=lambda t: prune_gain(t, n_max))
 
 
-def timed(spark: SparkSession, tree: JoinTree, sdata, strategy: str, order: list[str], reps: int):
-    """(median wall of ``reps`` warm runs, Spark jobs of the warm-up run)."""
-    _, jobs = counting_jobs(spark, lambda: run_strategy(spark, tree, sdata, strategy, order, measure=False))
-    walls = [run_strategy(spark, tree, sdata, strategy, order, measure=False).wall_time_s for _ in range(reps)]
-    return statistics.median(walls), len(jobs)
-
-
 def plan_rows(spark, tree: JoinTree, n: int, seed: int, reps: int, **key) -> list[dict]:
     """Run the six plans ``rank_strategies`` costs for ``tree`` at driver
     ``n``; one row per strategy with the model's counts and the wall."""
     sdata = to_spark(spark, gen_tree_data(tree, n, seed=seed))
-    rows = []
-    for p in sorted(rank_strategies(tree, n), key=lambda p: STRATEGIES.index(p.strategy)):
-        wall, jobs = timed(spark, tree, sdata, p.strategy, p.order, reps)
-        rows.append({
-            **key, "driver": n, "strategy": p.strategy, "order": p.order, "wall_s": wall,
-            "jobs_observed": jobs, **{c: getattr(p.breakdown, c) for c in COUNTS},
-        })
-    return rows
+    return [{
+        **key, "driver": n, "strategy": r.strategy, "order": r.order, "wall_s": r.wall_s,
+        "jobs_observed": r.jobs, **{c: getattr(r.breakdown, c) for c in COUNTS},
+    } for r in run_plans(spark, tree, sdata, rank_strategies(tree, n), reps=reps)]
 
 
 def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -224,39 +213,45 @@ def environment(spark: SparkSession) -> dict:
         "driver_memory": spark.sparkContext.getConf().get("spark.driver.memory", "1g"),
         "bitvectors": "exact",
         "output": "flat",
-        "timing": "median of REPRO_T9_REPS warm runs after 1 warm-up",
+        "timing": "median of REPRO_T9_REPS warm runs after 1 warm-up (REPRO_T9_REPS=1: one run)",
         "reps": env_int("REPRO_T9_REPS", 3),
         "loadavg_start": list(os.getloadavg()),
     }
 
 
+def fit_rows_path(json_path: str) -> str:
+    """Where :func:`run` logs the fit rows, a JSON object a line, as they are timed."""
+    return json_path.removesuffix(".json") + "_fit_rows.jsonl"
+
+
 def run(spark: SparkSession, json_path: str):
     """Fit the weights and evaluate the held-out picks; once the table is
-    built, write the rows, the environment and the weights to ``json_path``."""
+    built, write the rows, the environment and the weights to ``json_path``.
+    The fit rows are also logged as they are timed (:func:`fit_rows_path`),
+    so a fit that fails keeps them."""
     reps = env_int("REPRO_T9_REPS", 3)
     env = environment(spark)
     fit_rows = []
-    for shape in FIT_SHAPES:
-        for mr in FIT_M_RANGES:
+    with open(fit_rows_path(json_path), "w", buffering=1) as log:  # flushed per line
+        for shape, mr in itertools.product(FIT_SHAPES, FIT_M_RANGES):
             tree = fit_tree(shape, mr, max(DRIVERS), 0)
             for n in DRIVERS:
-                fit_rows += plan_rows(spark, tree, n, stable_seed(0, shape, mr, n), reps, shape=shape, m_range=list(mr))
+                rows = plan_rows(spark, tree, n, stable_seed(0, shape, mr, n), reps, shape=shape, m_range=list(mr))
+                log.writelines(json.dumps(r) + "\n" for r in rows)
+                fit_rows += rows
     w = fit(fit_rows)
     secs = fit_seconds(fit_rows)
-    held_rows, summary = [], []
-    for shape in HELD_OUT:
-        tree = held_out_tree(shape)
-        for n in DRIVERS:
-            rows = plan_rows(spark, tree, n, stable_seed(0, shape, n), reps, shape=shape)
-            held_rows += rows
-            summary.append(held_out_summary(tree, rows, {"spark": w, "paper": PAPER}))
-    check_rows, check = [], []
-    for shape in CHECK_SHAPES:
-        tree = pruning_tree(shape, max(CHECK_DRIVERS))
-        for n in CHECK_DRIVERS:
-            rows = plan_rows(spark, tree, n, stable_seed(1, shape, n), reps, shape=shape)
-            check_rows += rows
-            check.append(held_out_summary(tree, rows, {"spark": w, "paper": PAPER}))
+
+    def evaluate(trees, drivers, seed):
+        """The rows of one held-out set, and a summary per (tree, driver)."""
+        rows, groups = [], []
+        for (shape, tree), n in itertools.product(trees, drivers):
+            rows += (got := plan_rows(spark, tree, n, stable_seed(seed, shape, n), reps, shape=shape))
+            groups.append(held_out_summary(tree, got, {"spark": w, "paper": PAPER}))
+        return rows, groups
+
+    held_rows, summary = evaluate([(s, held_out_tree(s)) for s in HELD_OUT], DRIVERS, 0)
+    check_rows, check = evaluate([(s, pruning_tree(s, max(CHECK_DRIVERS))) for s in CHECK_SHAPES], CHECK_DRIVERS, 1)
     all_rows = fit_rows + held_rows + check_rows
     for r, pred in zip(all_rows, features(all_rows) @ secs):
         r["pred_wall_s"] = float(pred)

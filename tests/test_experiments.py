@@ -2,6 +2,7 @@
 qualitative claims of the paper's evaluation."""
 import importlib.util
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from repro.experiments import (
     t3_optimization,
     t6_simulation,
 )
-from repro.experiments.common import md_table, percentile, random_valid_order
+from repro.experiments.common import PlanRun, md_table, percentile, random_valid_order, rel_to_com
 from repro.experiments.shapes import SHAPES, sample_shaped_tree
 
 
@@ -47,6 +48,13 @@ class TestCommon:
     def test_unknown_shape(self):
         with pytest.raises(ValueError):
             sample_shaped_tree("cycle", random.Random(0), m_range=(0.1, 0.5))
+
+    def test_rel_to_com_marks_plans_that_did_not_run(self):
+        runs = [PlanRun("STD", [], 8.0, None), PlanRun("COM", [], 2.0, None, wall_s=0.5),
+                PlanRun("SJ+COM", [], 3.0, None, wall_s=0.25)]
+        assert rel_to_com(runs, "wall_s", "rel_") == {"rel_STD": "TO", "rel_COM": 1.0, "rel_SJ+COM": 0.5}
+        assert rel_to_com(runs, "cost", "model_rel_") == {"model_rel_STD": 4.0, "model_rel_COM": 1.0,
+                                                          "model_rel_SJ+COM": 1.5}
 
 
 class TestT2:
@@ -192,6 +200,72 @@ class TestSparkExperimentsSmoke:
             assert r["pred_wall_s"] == pytest.approx(float(t9.features([r])[0] @ secs))
         assert "Held out (the benchmark's trees)" in md and "where pruning pays" in md
 
+    def test_t9_keeps_the_fit_rows_when_the_fit_fails(self, spark, tmp_path, monkeypatch):
+        # The fit rows reach their own file as they are timed, so a fit
+        # that raises after the timing loses none of them.
+        import json
+
+        from repro.experiments import t9_spark_weights as t9
+
+        monkeypatch.setattr(t9, "FIT_SHAPES", ("snow32", "path11"))
+        monkeypatch.setattr(t9, "FIT_M_RANGES", ((0.5, 0.9),))
+        monkeypatch.setattr(t9, "DRIVERS", (300, 600))
+        timed = []
+
+        def plan_rows(spark, tree, n, seed, reps, **key):
+            rows = [{**key, "driver": n, "strategy": s, "wall_s": 0.1} for s in STRATEGIES]
+            timed.extend(rows)
+            return rows
+
+        def fit(rows):
+            raise ValueError("the fit gives hash probes no cost")
+
+        monkeypatch.setattr(t9, "plan_rows", plan_rows)
+        monkeypatch.setattr(t9, "fit", fit)
+        path = str(tmp_path / "t9.json")
+        with pytest.raises(ValueError):
+            t9.run(spark, json_path=path)
+        assert t9.fit_rows_path(path) == str(tmp_path / "t9_fit_rows.jsonl")
+        logged = [json.loads(line) for line in Path(t9.fit_rows_path(path)).read_text().splitlines()]
+        assert len(logged) == 2 * 2 * len(STRATEGIES) and logged == timed
+        assert not Path(path).exists()
+
+    def test_run_plans_skips_plans_over_the_cap(self, spark, monkeypatch):
+        # A plan whose predicted peak intermediate exceeds MAX_INTERM gets
+        # no wall time and never reaches the engine, so it starts no Spark
+        # job; the others run, in STRATEGIES order.
+        from repro.core.costmodel import Weights
+        from repro.core.datagen import gen_tree_data
+        from repro.core.planner import rank_strategies
+        from repro.experiments import common
+        from repro.experiments.t9_spark_weights import held_out_tree
+        from repro.session import to_spark
+
+        tree = held_out_tree("snow21")
+        sdata = to_spark(spark, gen_tree_data(tree, 300, seed=1))
+        plans = rank_strategies(tree, 300, weights=Weights())
+        # At driver 300 the COM family peaks at ≤ 576 predicted probes into
+        # one relation, the STD family at ≥ 3 317.
+        monkeypatch.setattr(common, "MAX_INTERM", 1000.0)
+        started, run_strategy = [], common.run_strategy
+
+        def recorded(spark, tree, sdata, strategy, *args, **kw):
+            started.append(strategy)
+            return run_strategy(spark, tree, sdata, strategy, *args, **kw)
+
+        monkeypatch.setattr(common, "run_strategy", recorded)
+        runs = common.run_plans(spark, tree, sdata, plans)
+        assert [r.strategy for r in runs] == list(STRATEGIES)
+        over = {r.strategy for r in runs if max(r.breakdown.hash_probes.values()) > 1000.0}
+        assert over == {"STD", "BVP+STD", "SJ+STD"}
+        for r in runs:
+            if r.strategy in over:
+                assert r.wall_s is None and r.out_rows is None and r.jobs is None
+            else:
+                assert r.wall_s > 0 and r.jobs > 0 and r.out_rows == runs[1].out_rows
+        assert started == ["COM", "BVP+COM", "SJ+COM"]
+        assert rel_to_com(runs, "wall_s", "rel_")["rel_STD"] == "TO"
+
     def test_t7_sim_only(self):
         from repro.experiments import t7_validation
 
@@ -217,23 +291,36 @@ class TestSparkExperimentsSmoke:
         assert mean_cv("COM") <= mean_cv("STD") + 1e-9
 
 
-def _load_run_all():
-    path = Path(__file__).resolve().parents[1] / "jobs" / "run_all.py"
-    spec = importlib.util.spec_from_file_location("run_all", path)
+def _load_script(relpath: str, name: str, monkeypatch):
+    """A script of the repository, loaded from its file as it is."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / relpath)
     mod = importlib.util.module_from_spec(spec)
+    # dataclasses look the module up by name while a class is built.
+    monkeypatch.setitem(sys.modules, name, mod)
     spec.loader.exec_module(mod)
     return mod
 
 
+class TestBenchmarkTrees:
+    def test_t9_holds_out_the_benchmarks_trees(self, monkeypatch):
+        # T9's held-out set and TestSparkWeights stand for the benchmark's
+        # workloads only while the two definitions agree.
+        from repro.experiments.t9_spark_weights import held_out_tree
+
+        bench = _load_script("perfbench/run.py", "perfbench_run", monkeypatch)
+        assert bench.star7_baseline() == held_out_tree("star7")
+        assert bench.snow21() == held_out_tree("snow21")
+
+
 class TestRunAll:
     def test_unknown_table_exits_2(self, tmp_path, monkeypatch):
-        run_all = _load_run_all()
+        run_all = _load_script("jobs/run_all.py", "run_all", monkeypatch)
         monkeypatch.setattr(run_all, "RESULTS", str(tmp_path / "results"))
         assert run_all.main(["t6", "t10"]) == 2
         assert not (tmp_path / "results").exists()
 
     def test_failed_table_exits_1_after_the_rest(self, tmp_path, monkeypatch, capsys):
-        run_all = _load_run_all()
+        run_all = _load_script("jobs/run_all.py", "run_all", monkeypatch)
         monkeypatch.setattr(run_all, "RESULTS", str(tmp_path))
 
         def boom():
